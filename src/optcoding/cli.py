@@ -77,15 +77,9 @@ def _cmd_codes(args) -> str:
 def _cmd_lengths(args) -> str:
     if args.imax < 1:
         raise ValueError("--imax must be >= 1")
-    if args.N < 1:
-        raise ValueError("--N must be >= 1")
-    if args.lmin < 0:
-        raise ValueError("--lmin must be >= 0")
-    rows = (
-        (i, codebook.code_length_for_rank(args.N, args.lmin, i))
-        for i in range(1, args.imax + 1)
-    )
-    return _table_text(("i", "l_i"), rows, args.format)
+    ranks = np.arange(1, args.imax + 1)
+    lengths = codebook.code_length_for_rank(args.N, args.lmin, ranks)
+    return _table_text(("i", "l_i"), zip(ranks.tolist(), lengths.tolist()), args.format)
 
 
 def _cmd_figure(args) -> str:
@@ -129,14 +123,15 @@ def _cmd_simulate(args) -> str:
 
 def _read_rank_counts(path) -> dict[int, int]:
     text = corpus.read_text(path)
+    rows = [
+        (lineno, line.replace(",", "\t").split())
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line.strip() and not line.strip().startswith("#")
+    ]
+    if rows and rows[0][1] and not rows[0][1][0].lstrip("-").isdigit():
+        rows = rows[1:]  # header: the first line that is not blank or a comment
     out: dict[int, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.replace(",", "\t").split()
-        if lineno == 1 and parts and not parts[0].lstrip("-").isdigit():
-            continue  # header row
+    for lineno, parts in rows:
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected `rank<TAB>count`")
         rank, count = int(parts[0]), int(parts[1])
@@ -150,16 +145,8 @@ def _read_rank_counts(path) -> dict[int, int]:
 
 def _cmd_fit(args) -> str:
     observed = _read_rank_counts(args.input)
-    families = (
-        ("zeta", "zipf-mandelbrot", "geometric")
-        if args.family == "all"
-        else (args.family,)
-    )
-    results = sorted(
-        (maxent.fit_mle(observed, fam) for fam in families),
-        key=lambda r: r.log_likelihood,
-        reverse=True,
-    )
+    families = maxent.FAMILIES if args.family == "all" else (args.family,)
+    results = maxent.fit_ranked(observed, families)
     if len(results) == 1:
         return _json_text(results[0].to_json_dict())
     return _json_text(
@@ -267,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="TSV/CSV of `rank count` rows")
     p.add_argument(
         "--family",
-        choices=("zeta", "zipf-mandelbrot", "geometric", "all"),
+        choices=(*maxent.FAMILIES, "all"),
         default="all",
     )
     p.add_argument("--output")

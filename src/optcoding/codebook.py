@@ -28,6 +28,7 @@ __all__ = [
     "code_length_for_rank",
     "nth_string",
     "rank_of_string",
+    "ranks_of_strings",
     "optimal_nonsingular_code",
     "uniquely_decodable_lengths",
     "classify",
@@ -171,30 +172,40 @@ def string_count_through_length(N: int, l_min: int, l: int) -> int:
     return (N ** (l + 1) - N**l_min) // (N - 1)
 
 
-def code_length_for_rank(N: int, l_min: int, i: int) -> int:
+def code_length_for_rank(N: int, l_min: int, i):
     """Length of the i-th string in length-then-lexicographic order.
 
     Equals ceil(log_N((1 - 1/N) * i + N**(l_min - 1))) for N > 1 and
-    i + l_min - 1 for N = 1.  Computed with integer arithmetic so block
-    boundaries (i exactly filling all strings of a length) never suffer
-    float rounding.
+    i + l_min - 1 for N = 1.  `i` is a rank or an integer array of ranks:
+    a rank gives a Python int (exact at any size), an array gives int64.
+    Lengths are read off the integer block bounds
+    `string_count_through_length`, so a rank exactly filling all strings
+    of a length never suffers float rounding.
     """
     if N < 1:
         raise ValueError("alphabet size must be >= 1")
     if l_min < 0:
         raise ValueError("l_min must be nonnegative")
-    if i < 1:
+    scalar = np.ndim(i) == 0
+    if scalar:
+        ranks = low = top = int(i)
+    else:
+        ranks = np.asarray(i, dtype=np.int64)
+        low, top = int(ranks.min(initial=1)), int(ranks.max(initial=1))
+    if low < 1:
         raise ValueError("rank must be >= 1")
     if N == 1:
-        return i + l_min - 1
-    # smallest l with sum_{k=l_min..l} N^k >= i, i.e. N^(l+1) >= (N-1) i + N^l_min
-    target = (N - 1) * i + N**l_min
-    length = l_min
-    power = N ** (l_min + 1)
-    while power < target:
-        length += 1
-        power *= N
-    return length
+        if not scalar and top + l_min - 1 >= 2**63:
+            raise ValueError("code lengths beyond the int64 range")
+        return ranks + (l_min - 1)
+    bounds = [string_count_through_length(N, l_min, l_min)]
+    while bounds[-1] < top:
+        bounds.append(string_count_through_length(N, l_min, l_min + len(bounds)))
+    if scalar:
+        return l_min + len(bounds) - 1
+    # Only the last bound can pass int64, and no rank lies beyond `top`.
+    bounds[-1] = top
+    return l_min + np.searchsorted(np.array(bounds, dtype=np.int64), ranks)
 
 
 def nth_string(alphabet: Alphabet, l_min: int, i: int) -> str:
@@ -213,16 +224,47 @@ def nth_string(alphabet: Alphabet, l_min: int, i: int) -> str:
     return "".join(reversed(digits))
 
 
+def ranks_of_strings(alphabet: Alphabet, l_min: int, strings) -> np.ndarray:
+    """Enumeration rank of each string: the inverse of `nth_string`, as an array.
+
+    The result is int64 when every string of the longest given length has
+    a rank below 2**63, and an object array of exact Python ints otherwise.
+    """
+    N = alphabet.size
+    strings = list(strings)
+    lengths = np.array([len(s) for s in strings], dtype=np.int64)
+    short = lengths < l_min
+    if np.any(short):
+        s = strings[int(np.argmax(short))]
+        raise ValueError(f"string {s!r} is shorter than l_min={l_min}")
+    top = int(lengths.max(initial=l_min))
+    dtype = np.int64 if string_count_through_length(N, l_min, top) < 2**63 else object
+    text = "".join(strings).encode("utf-32-le", "surrogatepass")
+    chars, where = np.unique(np.frombuffer(text, dtype=np.uint32), return_inverse=True)
+    digits = np.array([alphabet.index(chr(c)) for c in chars.tolist()], dtype=dtype)[where]
+    # Horner's rule over character position k, for every string longer than k.
+    starts = np.cumsum(lengths) - lengths
+    values = np.zeros(len(strings), dtype=dtype)
+    for k in range(top):
+        live = np.flatnonzero(lengths > k)
+        values[live] = values[live] * N + digits[starts[live] + k]
+    bases = np.array(
+        [string_count_through_length(N, l_min, l - 1) for l in range(top + 1)],
+        dtype=dtype,
+    )
+    return bases[lengths] + values + 1
+
+
 def rank_of_string(alphabet: Alphabet, l_min: int, s: str) -> int:
     """Inverse of `nth_string`: the enumeration rank of a given string."""
-    N = alphabet.size
-    length = len(s)
-    if length < l_min:
-        raise ValueError(f"string {s!r} is shorter than l_min={l_min}")
-    value = 0
-    for ch in s:
-        value = value * N + alphabet.index(ch)
-    return string_count_through_length(N, l_min, length - 1) + value + 1
+    return int(ranks_of_strings(alphabet, l_min, [s])[0])
+
+
+def _require_l_min(l_min: int, allow_empty: bool = False) -> None:
+    if l_min < 0:
+        raise ValueError("l_min must be nonnegative")
+    if l_min == 0 and not allow_empty:
+        raise ValueError("l_min = 0 (empty code string) requires allow_empty=True")
 
 
 def optimal_nonsingular_code(
@@ -238,10 +280,7 @@ def optimal_nonsingular_code(
     among all non-singular tables for the distribution.  The empty string
     (l_min = 0) must be enabled explicitly; it then occupies rank 1.
     """
-    if l_min < 0:
-        raise ValueError("l_min must be nonnegative")
-    if l_min == 0 and not allow_empty:
-        raise ValueError("l_min = 0 (empty code string) requires allow_empty=True")
+    _require_l_min(l_min, allow_empty)
     codes = tuple(nth_string(alphabet, l_min, i) for i in range(1, dist.size + 1))
     return CodeTable(codes, alphabet)
 

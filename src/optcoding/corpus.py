@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import math
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -206,19 +207,26 @@ def abbreviation_analysis(table: FrequencyTable) -> AbbreviationResult:
     dist = table.ranked_distribution()
     asg = assign.Assignment(table.magnitudes)
     n_c, n_d = assign.pair_counts(dist, asg)
-    tau = assign.kendall_tau(dist, asg)
     v = table.size
+    tau = (n_c - n_d) / (v * (v - 1) / 2)  # as assign.kendall_tau, without recounting
     z = (n_c - n_d) / math.sqrt(v * (v - 1) * (2 * v + 5) / 18.0)
     return AbbreviationResult(tau, n_c, n_d, z)
 
 
 @dataclass(frozen=True, eq=False)
 class RecodingResult:
-    """Mean magnitude before and after optimal non-singular recoding."""
+    """Mean magnitude before and after optimal non-singular recoding; the
+    recoded `code_table` itself is built on first access."""
 
     l_actual: float
     l_optimal: float
-    code_table: codebook.CodeTable
+    dist: assign.RankedDistribution = field(repr=False)
+    alphabet: codebook.Alphabet = field(repr=False)
+    l_min: int = 1
+
+    @cached_property
+    def code_table(self) -> codebook.CodeTable:
+        return codebook.optimal_nonsingular_code(self.dist, self.alphabet, self.l_min)
 
     @property
     def efficiency_ratio(self) -> float:
@@ -248,11 +256,14 @@ def optimal_recoding(
                 "magnitudes are not character counts; length comparison "
                 "against a string code is not meaningful"
             )
+    codebook._require_l_min(l_min)
     dist = table.ranked_distribution()
-    code_table = codebook.optimal_nonsingular_code(dist, alphabet, l_min)
+    lengths = codebook.code_length_for_rank(
+        alphabet.size, l_min, np.arange(1, table.size + 1)
+    )
     l_actual = float(dist.probs @ table.magnitudes)
-    l_optimal = codebook.mean_code_length(code_table, dist)
-    return RecodingResult(l_actual, l_optimal, code_table)
+    l_optimal = float(dist.probs @ lengths)
+    return RecodingResult(l_actual, l_optimal, dist, alphabet, l_min)
 
 
 def frequency_spectrum(table: FrequencyTable) -> dict[int, int]:
@@ -275,24 +286,20 @@ class FitComparison:
 
 def rank_frequency_fit(
     table: FrequencyTable,
-    families: tuple[str, ...] = ("zeta", "zipf-mandelbrot", "geometric"),
+    families: tuple[str, ...] = maxent.FAMILIES,
 ) -> FitComparison:
     """Fit rank-distribution families to the table and rank them by likelihood."""
     if table.size < 2:
         raise ValueError("rank-frequency fitting needs at least 2 types")
     observed = {i + 1: int(f) for i, f in enumerate(table.frequencies.tolist())}
-    results = sorted(
-        (maxent.fit_mle(observed, fam) for fam in families),
-        key=lambda r: r.log_likelihood,
-        reverse=True,
-    )
+    results = maxent.fit_ranked(observed, families)
     warning = None
     if table.size < SPARSE_FIT_THRESHOLD:
         warning = (
             f"only {table.size} distinct ranks: too few for a meaningful "
             "model comparison"
         )
-    return FitComparison(tuple(results), warning)
+    return FitComparison(results, warning)
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,7 +343,7 @@ def analyze(
     alphabet: codebook.Alphabet,
     l_min: int = 1,
     *,
-    fit_families: tuple[str, ...] = ("zeta", "zipf-mandelbrot", "geometric"),
+    fit_families: tuple[str, ...] = maxent.FAMILIES,
 ) -> AnalysisReport:
     """Run the whole pipeline on a prepared frequency table."""
     abbrev = abbreviation_analysis(table)

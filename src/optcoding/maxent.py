@@ -39,8 +39,13 @@ __all__ = [
     "entropy",
     "sample",
     "FitResult",
+    "FAMILIES",
     "fit_mle",
+    "fit_ranked",
 ]
+
+# The rank-distribution families `fit_mle` knows, in their default order.
+FAMILIES = ("zeta", "zipf-mandelbrot", "geometric")
 
 _TAIL_BOUND = 1e-13
 _SAMPLE_HEAD = 1 << 16
@@ -171,8 +176,10 @@ class CodeLength(LengthLaw):
         if self.min_length < 0:
             raise ValueError("min_length must be nonnegative")
 
-    def __call__(self, i: int) -> float:
-        return float(code_length_for_rank(self.base_size, self.min_length, i))
+    def __call__(self, i):
+        """Length of rank i as a float; an array of ranks gives a float array."""
+        lengths = code_length_for_rank(self.base_size, self.min_length, i)
+        return lengths.astype(float) if np.ndim(lengths) else float(lengths)
 
     def partition(self, alpha: float) -> float:
         r = self.base_size * math.exp(-alpha)
@@ -503,3 +510,9 @@ def fit_mle(observed, family: str) -> FitResult:
         )
 
     raise ValueError(f"unknown family {family!r}")
+
+
+def fit_ranked(observed, families) -> tuple[FitResult, ...]:
+    """Fit each family to `observed`, best log-likelihood first (stable on ties)."""
+    fits = [fit_mle(observed, fam) for fam in families]
+    return tuple(sorted(fits, key=lambda r: r.log_likelihood, reverse=True))

@@ -97,25 +97,14 @@ def rank_probability(params: RandomTypingParams, i: int) -> float:
     return word_probability(params, length)
 
 
-def _lengths_for_ranks(N: int, l_min: int, i_max: int) -> np.ndarray:
-    """Enumeration length of every rank 1..i_max, vectorized via block bounds."""
-    bounds = []
-    length = l_min
-    count = 0
-    while count < i_max:
-        count += N**length
-        bounds.append(count)
-        length += 1
-    ranks = np.arange(1, i_max + 1)
-    return l_min + np.searchsorted(np.array(bounds), ranks, side="left")
-
-
 def rank_probabilities(params: RandomTypingParams, i_max: int) -> np.ndarray:
     """Vector of rank probabilities for ranks 1..i_max."""
     _require_uniform(params)
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
-    lengths = _lengths_for_ranks(params.N, params.l_min, i_max)
+    lengths = codebook.code_length_for_rank(
+        params.N, params.l_min, np.arange(1, i_max + 1)
+    )
     scale = params.p_s / (1.0 - params.p_s) ** params.l_min
     return scale * ((1.0 - params.p_s) / params.N) ** lengths
 
@@ -176,51 +165,11 @@ def word_ranks(params: RandomTypingParams, words) -> np.ndarray:
     """Enumeration rank of each word (inverse of the i-th-string map).
 
     Words must be over the first N lowercase letters and at least l_min
-    long.  Length groups are ranked with vectorized int64 arithmetic while
-    the ranks fit; longer words (rank beyond 2**62) fall back to exact
-    Python integers, and the result is then an object array.
+    long.  Ranks are int64 while every word of the longest length fits;
+    beyond that they are exact Python ints in an object array.
     """
-    N, l_min = params.N, params.l_min
-    if N > len(_LETTERS):
-        raise ValueError("word_ranks handles latin alphabets (N <= 26)")
-    words = list(words)
-    lengths = np.array([len(w) for w in words], dtype=np.int64)
-    if np.any(lengths < l_min):
-        raise ValueError(f"all words must have length >= l_min={l_min}")
-    ranks: list = [0] * len(words)
-    order = np.argsort(lengths, kind="stable")
-    pos = 0
-    while pos < len(order):
-        length = int(lengths[order[pos]])
-        end = pos
-        while end < len(order) and lengths[order[end]] == length:
-            end += 1
-        idx = order[pos:end].tolist()
-        base = codebook.string_count_through_length(N, l_min, length - 1)
-        if length == 0:
-            for k in idx:
-                ranks[k] = base + 1
-        elif codebook.string_count_through_length(N, l_min, length) < 2**62:
-            blob = "".join(words[k] for k in idx).encode("ascii")
-            mat = np.frombuffer(blob, dtype=np.uint8).reshape(len(idx), length) - ord("a")
-            if np.any(mat < 0) or np.any(mat >= N):
-                raise ValueError("words use letters outside the first N")
-            values = mat @ (N ** np.arange(length - 1, -1, -1, dtype=np.int64))
-            for k, v in zip(idx, values.tolist()):
-                ranks[k] = base + v + 1
-        else:
-            for k in idx:
-                value = 0
-                for ch in words[k]:
-                    digit = ord(ch) - ord("a")
-                    if not 0 <= digit < N:
-                        raise ValueError("words use letters outside the first N")
-                    value = value * N + digit
-                ranks[k] = base + value + 1
-        pos = end
-    if max(ranks) < 2**63:
-        return np.array(ranks, dtype=np.int64)
-    return np.array(ranks, dtype=object)
+    alphabet = codebook.Alphabet.latin(params.N)  # rejects N > 26
+    return codebook.ranks_of_strings(alphabet, params.l_min, words)
 
 
 @dataclass(frozen=True)
@@ -251,7 +200,7 @@ def verify_optimality(params: RandomTypingParams, i_max: int) -> OptimalityRepor
         raise ValueError("i_max must be >= 1")
     N, l_min = params.N, params.l_min
     probs = rank_probabilities(params, i_max)
-    lengths = _lengths_for_ranks(N, l_min, i_max)
+    lengths = codebook.code_length_for_rank(N, l_min, np.arange(1, i_max + 1))
     failures = []
     checks = {}
 

@@ -129,6 +129,13 @@ class TestFit:
         lls = [r["log_likelihood"] for r in payload["results"]]
         assert lls == sorted(lls, reverse=True)
 
+    def test_header_after_comment(self, tmp_path):
+        data = tmp_path / "counts.tsv"
+        data.write_text("# comment\n\nrank\tcount\n1\t70\n2\t20\n3\t10\n")
+        out = run("fit", "--input", str(data), "--family", "geometric")
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["n"] == 100
+
     def test_alpha_domain_error(self, tmp_path):
         data = tmp_path / "counts.tsv"
         data.write_text("1\t50\n")  # single rank: degenerate
@@ -156,6 +163,15 @@ class TestAnalyze:
         assert table_path.read_text() == (
             "type\tfrequency\tmagnitude\na\t2\t1.0\nb\t1\t1.0\n"
         )
+
+    def test_lmin_zero_fails_without_table(self, tmp_path):
+        text = tmp_path / "corpus.txt"
+        text.write_text("b a a\n")
+        table_path = tmp_path / "table.tsv"
+        res = run("analyze", "--input", str(text), "--lmin", "0",
+                  "--table-out", str(table_path))
+        assert res.returncode == 3
+        assert list(tmp_path.iterdir()) == [text]
 
     def test_magnitude_sidecar(self, tmp_path):
         text = tmp_path / "corpus.txt"

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optcoding.assign import RankedDistribution
 from optcoding.codebook import (
@@ -112,6 +114,36 @@ class TestLengthForRank:
     def test_unary_case(self):
         assert code_length_for_rank(1, 1, 7) == 7
         assert code_length_for_rank(1, 0, 7) == 6
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 26),
+        st.integers(0, 3),
+        st.lists(st.integers(1, 2**62), max_size=12),
+        st.lists(st.integers(0, 8), max_size=4),
+        st.integers(2**63, 2**90),
+    )
+    def test_array_scalar_and_enumeration_agree(self, n, l_min, ranks, blocks, big):
+        if n == 1:  # unary strings are as long as their rank
+            ranks = [r % 300 + 1 for r in ranks]
+        # block ends and the rank one past each, where float formulas slip
+        for l in blocks:
+            end = string_count_through_length(n, l_min, l_min + l)
+            ranks = ranks + [end, end + 1]
+        alphabet = Alphabet.latin(n)
+        lengths = code_length_for_rank(n, l_min, np.array(ranks, dtype=np.int64))
+        assert lengths.dtype == np.int64
+        assert lengths.tolist() == [code_length_for_rank(n, l_min, i) for i in ranks]
+        assert lengths.tolist() == [len(nth_string(alphabet, l_min, i)) for i in ranks]
+        if n > 1:  # a scalar rank beyond int64 stays exact
+            assert code_length_for_rank(n, l_min, big) == len(nth_string(alphabet, l_min, big))
+
+    def test_array_edge_cases(self):
+        assert code_length_for_rank(2, 1, np.array([], dtype=np.int64)).dtype == np.int64
+        with pytest.raises(ValueError):
+            code_length_for_rank(2, 1, np.array([3, 0]))
+        with pytest.raises(ValueError):  # int64 lengths would wrap around
+            code_length_for_rank(1, 2**63 - 2, np.array([1, 3]))
 
 
 class TestOptimalTable:

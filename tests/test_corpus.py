@@ -196,6 +196,10 @@ class TestOptimalRecoding:
             perm = rng.permutation(table.size)
             assert res.l_optimal <= float(probs @ lengths[perm]) + 1e-15
 
+    def test_empty_code_rejected_at_call_time(self):
+        with pytest.raises(ValueError, match="allow_empty"):
+            optimal_recoding(table_from_tokens(["a", "b"]), AB, 0)
+
     def test_character_count_verification(self):
         table = build_table("the of of", magnitudes={"the": 9.0})
         with pytest.raises(ValueError):

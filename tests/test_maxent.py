@@ -123,6 +123,8 @@ class TestMaxentPmf:
         # per-rank head must agree with the block head
         law = CodeLength(2, 1)
         head_ranks = sum(math.exp(-alpha * law(i)) for i in range(1, 2**11 - 1))
+        head = np.arange(1, 2**11 - 1)
+        assert law(head).tolist() == [law(i) for i in head.tolist()]
         head_blocks = sum(2**l * math.exp(-alpha * l) for l in range(1, 11))
         assert head_ranks == pytest.approx(head_blocks, rel=1e-12)
         with pytest.raises(ValueError):

@@ -2,9 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optcoding.assign import Assignment, RankedDistribution, kendall_tau, pair_counts
-from optcoding.codebook import code_length_for_rank, string_count_through_length
+from optcoding.codebook import (
+    Alphabet,
+    code_length_for_rank,
+    nth_string,
+    rank_of_string,
+    ranks_of_strings,
+    string_count_through_length,
+)
 from optcoding.maxent import GeometricParams, geometric_pmf
 from optcoding.randtype import (
     AbbreviationLaw,
@@ -186,6 +195,29 @@ class TestWordRanks:
         params = RandomTypingParams(2, 0.5, 1)
         with pytest.raises(ValueError):
             word_ranks(params, ["c"])
+
+    def test_no_words(self):
+        ranks = word_ranks(RandomTypingParams(3, 0.5, 1), [])
+        assert ranks.dtype == np.int64 and ranks.size == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 26),
+        st.integers(0, 2),
+        st.lists(st.integers(1, 2**90), min_size=1, max_size=12),
+    )
+    def test_round_trip_through_enumeration(self, n, l_min, ranks):
+        if n == 1:  # unary strings are as long as their rank
+            ranks = [r % 300 + 1 for r in ranks]
+        alphabet = Alphabet.latin(n)
+        words = [nth_string(alphabet, l_min, r) for r in ranks]
+        got = word_ranks(RandomTypingParams(n, 0.5, l_min), words)
+        assert got.tolist() == ranks
+        assert ranks_of_strings(alphabet, l_min, words).tolist() == ranks
+        assert [rank_of_string(alphabet, l_min, w) for w in words] == ranks
+        longest = max(len(w) for w in words)
+        exact = string_count_through_length(n, l_min, longest) >= 2**63
+        assert got.dtype == (object if exact else np.int64)
 
 
 class TestVerifyOptimality:

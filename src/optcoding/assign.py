@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,14 +333,22 @@ def pearson_r(p, lam) -> float:
 def is_optimal(
     dist: RankedDistribution, asg: Assignment, ms: MagnitudeMultiset
 ) -> bool:
-    """True iff the assignment holds the pool's V smallest values in nondecreasing order."""
+    """True iff the assignment holds the pool's V smallest values in nondecreasing order.
+
+    Works on sorted arrays in O(V log(V + |pool|)) time and O(V) extra
+    memory.  Each distinct assigned value must occur in the pool at least
+    as often as in the assignment (its pool count is the span between the
+    left and right `searchsorted` positions), else ValueError.  The
+    assignment is then optimal exactly when its sorted values equal the
+    pool's first V, which are its V smallest, and it never decreases.
+    """
     _check_sizes(dist, asg)
-    used = Counter(asg.magnitudes.tolist())
-    avail = Counter(ms.values.tolist())
-    if used - avail:
-        raise ValueError("assignment is not a sub-multiset of the magnitude pool")
-    smallest = Counter(ms.values[: dist.size].tolist())
-    if used != smallest:
-        return False
     m = asg.magnitudes
+    pool = ms.values
+    values, used = np.unique(m, return_counts=True)
+    avail = np.searchsorted(pool, values, "right") - np.searchsorted(pool, values, "left")
+    if np.any(used > avail):
+        raise ValueError("assignment is not a sub-multiset of the magnitude pool")
+    if not np.array_equal(np.sort(m), pool[: dist.size]):
+        return False
     return bool(np.all(m[:-1] <= m[1:]))

@@ -50,11 +50,11 @@ def _write_output(text: str, path: str | None) -> None:
         raise
 
 
-def _table_text(header: tuple[str, ...], rows, fmt: str) -> str:
+def _table_text(header: tuple[str, ...], columns, fmt: str) -> str:
+    """The header line, then one line per row; `columns` hold the cells."""
     sep = _SEP[fmt]
-    lines = [sep.join(header)]
-    lines += [sep.join(str(cell) for cell in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    rows = zip(*(map(str, column) for column in columns))
+    return "\n".join([sep.join(header), *map(sep.join, rows)]) + "\n"
 
 
 def _json_text(payload: dict) -> str:
@@ -65,13 +65,15 @@ def _cmd_codes(args) -> str:
     alphabet = codebook.Alphabet.from_string(args.alphabet)
     if args.ranks < 1:
         raise ValueError("--ranks must be >= 1")
+    codebook.check_table_size(alphabet.size, args.lmin, args.ranks)
     dist = assign.RankedDistribution(np.full(args.ranks, 1.0 / args.ranks))
     table = codebook.optimal_nonsingular_code(
         dist, alphabet, args.lmin, allow_empty=args.allow_empty
     )
     if args.format == "json":
         return table.to_json()
-    return _table_text(("rank", "code"), table.items(), args.format)
+    ranks = range(1, table.size + 1)
+    return _table_text(("rank", "code"), (ranks, table.codes), args.format)
 
 
 def _cmd_lengths(args) -> str:
@@ -79,14 +81,17 @@ def _cmd_lengths(args) -> str:
         raise ValueError("--imax must be >= 1")
     ranks = np.arange(1, args.imax + 1)
     lengths = codebook.code_length_for_rank(args.N, args.lmin, ranks)
-    return _table_text(("i", "l_i"), zip(ranks.tolist(), lengths.tolist()), args.format)
+    return _table_text(("i", "l_i"), (ranks.tolist(), lengths.tolist()), args.format)
 
 
 def _cmd_figure(args) -> str:
     params = randtype.RandomTypingParams(args.N, args.ps, args.lmin)
     ranks, probs = randtype.figure2_data(params, args.imax)
-    rows = zip(ranks.tolist(), (str(p) for p in probs.tolist()))
-    return _table_text(("i", "p_i"), rows, args.format)
+    # One value per length block: format each distinct probability once.
+    values, where = np.unique(probs, return_inverse=True)
+    cells = [str(p) for p in values.tolist()]
+    column = map(cells.__getitem__, where.tolist())
+    return _table_text(("i", "p_i"), (ranks.tolist(), column), args.format)
 
 
 def _cmd_simulate(args) -> str:

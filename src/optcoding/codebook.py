@@ -24,17 +24,25 @@ __all__ = [
     "Alphabet",
     "CodeTable",
     "CodeClass",
+    "MAX_TABLE_CHARS",
     "string_count_through_length",
+    "block_counts",
     "code_length_for_rank",
     "nth_string",
     "rank_of_string",
     "ranks_of_strings",
+    "check_table_size",
     "optimal_nonsingular_code",
     "uniquely_decodable_lengths",
     "classify",
     "segmentations",
     "mean_code_length",
 ]
+
+# Most characters, summed over all codes, of a table that
+# `optimal_nonsingular_code` builds; a larger request is a ValueError
+# instead of an out-of-memory kill.
+MAX_TABLE_CHARS = 10**8
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,6 +180,22 @@ def string_count_through_length(N: int, l_min: int, l: int) -> int:
     return (N ** (l + 1) - N**l_min) // (N - 1)
 
 
+def block_counts(N: int, l_min: int, V: int) -> list[int]:
+    """How many of the first V strings have length l_min, l_min + 1, ..., in order.
+
+    Every length below the longest one used holds its whole block of N**l
+    strings and the longest holds the rest: the count at length l is
+    min(N**l, V - string_count_through_length(N, l_min, l - 1)).  O(number
+    of lengths) exact integers.
+    """
+    top = code_length_for_rank(N, l_min, V)  # also validates N, l_min and V
+    if N == 1:
+        return [1] * V
+    through = [string_count_through_length(N, l_min, l) for l in range(l_min - 1, top)]
+    through.append(V)
+    return [b - a for a, b in zip(through, through[1:])]
+
+
 def code_length_for_rank(N: int, l_min: int, i):
     """Length of the i-th string in length-then-lexicographic order.
 
@@ -267,6 +291,25 @@ def _require_l_min(l_min: int, allow_empty: bool = False) -> None:
         raise ValueError("l_min = 0 (empty code string) requires allow_empty=True")
 
 
+def check_table_size(N: int, l_min: int, V: int) -> None:
+    """Raise ValueError if the first V strings (length >= l_min, over N
+    symbols) hold more than MAX_TABLE_CHARS characters in total.
+
+    The total comes in closed form from the block counts, so the check
+    costs nothing even for tables far too large to build.
+    """
+    _require_l_min(l_min, allow_empty=True)
+    if N == 1:
+        chars = V * l_min + V * (V - 1) // 2
+    else:
+        chars = sum(l * c for l, c in enumerate(block_counts(N, l_min, V), start=l_min))
+    if chars > MAX_TABLE_CHARS:
+        raise ValueError(
+            f"a table of {V} codes needs {chars} characters; "
+            f"the limit is {MAX_TABLE_CHARS}"
+        )
+
+
 def optimal_nonsingular_code(
     dist: RankedDistribution,
     alphabet: Alphabet,
@@ -279,8 +322,10 @@ def optimal_nonsingular_code(
     The result is non-singular by construction and has minimal mean length
     among all non-singular tables for the distribution.  The empty string
     (l_min = 0) must be enabled explicitly; it then occupies rank 1.
+    Tables above MAX_TABLE_CHARS characters are refused (`check_table_size`).
     """
     _require_l_min(l_min, allow_empty)
+    check_table_size(alphabet.size, l_min, dist.size)
     codes = tuple(nth_string(alphabet, l_min, i) for i in range(1, dist.size + 1))
     return CodeTable(codes, alphabet)
 

@@ -12,7 +12,9 @@ maximum-likelihood fitting.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -51,21 +53,9 @@ _TAIL_BOUND = 1e-13
 _SAMPLE_HEAD = 1 << 16
 
 
-def hurwitz_zeta(alpha: float, b: float) -> float:
-    """sum_{i>=0} (i + b)^(-alpha), absolute error well below 1e-10.
-
-    Direct summation of the first M terms plus the Euler-Maclaurin tail
-    (integral, half-term and two Bernoulli corrections).  The first
-    omitted correction bounds the truncation error; M is the smallest
-    head length that drives that bound below 1e-13, so calls with a
-    large offset b cost almost nothing.
-    """
-    alpha = float(alpha)
-    b = float(b)
-    if alpha <= 1:
-        raise ValueError("hurwitz_zeta diverges for alpha <= 1")
-    if b <= 0:
-        raise ValueError("hurwitz_zeta requires b > 0")
+def _head_length(alpha: float, b: float) -> int:
+    """Smallest head length M in 0, 16, 64, ... whose Euler-Maclaurin tail
+    error bound, the first omitted correction, is below 1e-13."""
     log_factor = (
         math.log(alpha)
         + math.log1p(alpha)
@@ -80,7 +70,31 @@ def hurwitz_zeta(alpha: float, b: float) -> float:
         m = max(16, m * 4)
         if m > 1 << 26:  # unreachable for alpha > 1, b > 0 in float range
             break
-    head = float(np.sum((np.arange(m) + b) ** -alpha)) if m else 0.0
+    return m
+
+
+def hurwitz_zeta(alpha: float, b: float) -> float:
+    """sum_{i>=0} (i + b)^(-alpha), absolute error well below 1e-10.
+
+    Direct summation of the first M terms plus the Euler-Maclaurin tail
+    (integral, half-term and two Bernoulli corrections).  The first
+    omitted correction bounds the truncation error; M is the smallest
+    head length that drives that bound below 1e-13, so calls with a
+    large offset b cost almost nothing.  A sum past the largest float
+    (tiny b, large alpha) is inf, without an overflow warning; its
+    logarithm is still finite in `_log_hurwitz_zeta`.
+    """
+    alpha = float(alpha)
+    b = float(b)
+    if alpha <= 1:
+        raise ValueError("hurwitz_zeta diverges for alpha <= 1")
+    if b <= 0:
+        raise ValueError("hurwitz_zeta requires b > 0")
+    m = _head_length(alpha, b)
+    head = 0.0
+    if m:
+        with np.errstate(over="ignore"):  # a term past the float range makes the sum inf
+            head = float(np.sum((np.arange(m) + b) ** -alpha))
     x = m + b
     tail = (
         x ** (1 - alpha) / (alpha - 1)
@@ -89,6 +103,34 @@ def hurwitz_zeta(alpha: float, b: float) -> float:
         - alpha * (alpha + 1) * (alpha + 2) * x ** (-alpha - 3) / 720.0
     )
     return head + tail
+
+
+def _log_hurwitz_zeta(alpha: float, b: float) -> float:
+    """log hurwitz_zeta(alpha, b), also where the sum itself leaves the float range.
+
+    Where the sum is a normal float this is math.log of it, bit for bit.
+    Otherwise (inf, or below the smallest normal float) the same head and
+    tail terms are summed relative to the largest one, in log space.
+    """
+    z = hurwitz_zeta(alpha, b)
+    if sys.float_info.min <= z < math.inf:
+        return math.log(z)
+    alpha = float(alpha)
+    b = float(b)
+    m = _head_length(alpha, b)
+    lx = math.log(m + b)
+    logs = np.concatenate([
+        -alpha * np.log(np.arange(m) + b),
+        [
+            (1 - alpha) * lx - math.log(alpha - 1),
+            math.log(0.5) - alpha * lx,
+            math.log(alpha / 12.0) - (alpha + 1) * lx,
+        ],
+    ])
+    correction = math.log(alpha * (alpha + 1) * (alpha + 2) / 720.0) - (alpha + 3) * lx
+    top = float(logs.max())
+    scaled = float(np.sum(np.exp(logs - top))) - math.exp(correction - top)
+    return top + math.log(scaled)
 
 
 def riemann_zeta(alpha: float) -> float:
@@ -205,6 +247,11 @@ class MaxentSpec:
             raise ValueError("truncation must be >= 1")
 
     def partition(self) -> float:
+        """Normalizer Z, computed on first use and then reused."""
+        return self._partition
+
+    @cached_property
+    def _partition(self) -> float:
         if self.truncation is not None:
             lengths = np.array(
                 [self.length_law(j) for j in range(1, self.truncation + 1)]
@@ -237,6 +284,11 @@ class ZetaParams:
         if self.alpha <= 1:
             raise ValueError("zeta distribution needs alpha > 1")
 
+    @cached_property
+    def normalizer(self) -> float:
+        """riemann_zeta(alpha), computed on first use and then reused."""
+        return riemann_zeta(self.alpha)
+
 
 @dataclass(frozen=True)
 class ZipfMandelbrotParams:
@@ -250,6 +302,11 @@ class ZipfMandelbrotParams:
             raise ValueError("Zipf-Mandelbrot needs alpha > 1")
         if self.b <= 0:
             raise ValueError("Zipf-Mandelbrot needs offset b > 0")
+
+    @cached_property
+    def normalizer(self) -> float:
+        """hurwitz_zeta(alpha, b), computed on first use and then reused."""
+        return hurwitz_zeta(self.alpha, self.b)
 
 
 @dataclass(frozen=True)
@@ -266,7 +323,7 @@ class GeometricParams:
 def zeta_pmf(params: ZetaParams, i: int) -> float:
     if i < 1:
         raise ValueError("rank must be >= 1")
-    return i ** -params.alpha / riemann_zeta(params.alpha)
+    return i ** -params.alpha / params.normalizer
 
 
 def zipf_mandelbrot_pmf(params: ZipfMandelbrotParams, i: int) -> float:
@@ -280,7 +337,7 @@ def zipf_mandelbrot_pmf(params: ZipfMandelbrotParams, i: int) -> float:
     """
     if i < 0:
         raise ValueError("support index must be >= 0")
-    return (i + params.b) ** -params.alpha / hurwitz_zeta(params.alpha, params.b)
+    return (i + params.b) ** -params.alpha / params.normalizer
 
 
 def geometric_pmf(params: GeometricParams, i: int) -> float:
@@ -493,9 +550,7 @@ def fit_mle(observed, family: str) -> FitResult:
         # rank r sits at support index r - 1: weight (r - 1 + b)^(-alpha)
         def nll(theta) -> float:
             a, b = theta
-            return a * float(np.log(rf - 1.0 + b) @ cf) + n * math.log(
-                hurwitz_zeta(a, b)
-            )
+            return a * float(np.log(rf - 1.0 + b) @ cf) + n * _log_hurwitz_zeta(a, b)
 
         start = fit_mle(dict(zip(ranks.tolist(), counts.tolist())), "zeta")
         res = optimize.minimize(

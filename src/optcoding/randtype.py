@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 import string
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import assign, codebook
+from . import codebook
 
 __all__ = [
     "RandomTypingParams",
@@ -185,15 +186,32 @@ class OptimalityReport:
         return not self.failures
 
 
+def _shortest_in_order(N: int, l_min: int, lengths: np.ndarray) -> bool:
+    """True iff the (nonnegative int) lengths never decrease and are, as a
+    multiset, the len(lengths) shortest string lengths >= l_min over N symbols."""
+    shortest = np.array([0] * l_min + codebook.block_counts(N, l_min, lengths.size))
+    return bool(np.all(lengths[:-1] <= lengths[1:])) and np.array_equal(
+        np.bincount(lengths), shortest
+    )
+
+
 def verify_optimality(params: RandomTypingParams, i_max: int) -> OptimalityReport:
     """Check that random typing behaves as an optimal non-singular code.
 
     Builds the analytic rank table up to i_max and verifies: words of equal
     length are equally probable; probability never increases with rank and
-    drops strictly across length boundaries; the induced length assignment
-    satisfies the optimality conditions against the pool of all available
-    string lengths; and every complete length block uses all of its
-    base_size**l distinct strings.
+    drops strictly across length boundaries; the induced lengths are
+    optimal; and every complete length block uses all of its N**l distinct
+    strings.
+
+    Optimal means the lengths are the V = i_max smallest of the pool of all
+    string lengths, in nondecreasing order.  The pool, sorted, is the block
+    order itself: N**l copies of each length l from l_min up.  Its first V
+    entries therefore count `codebook.block_counts(N, l_min, V)` copies of
+    each length, so the check compares that closed form with the bincount
+    of the lengths and never builds the pool, whose size grows as N**l.
+    Time and memory grow linearly with i_max, apart from the characters of
+    the string table itself (capped by `codebook.check_table_size`).
     """
     _require_uniform(params)
     if i_max < 1:
@@ -204,18 +222,13 @@ def verify_optimality(params: RandomTypingParams, i_max: int) -> OptimalityRepor
     failures = []
     checks = {}
 
-    same = True
-    decreasing = True
-    for length in np.unique(lengths):
-        block = probs[lengths == length]
-        if block.min() != block.max():
-            same = False
+    order = np.argsort(lengths, kind="stable")
+    l_sorted, p_sorted = lengths[order], probs[order]
+    tied = l_sorted[1:] == l_sorted[:-1]
+    same = bool(np.all(p_sorted[1:][tied] == p_sorted[:-1][tied]))
     steps = np.diff(probs)
-    if np.any(steps > 0):
-        decreasing = False
     boundary = np.flatnonzero(np.diff(lengths) > 0)
-    if np.any(steps[boundary] >= 0):
-        decreasing = False
+    decreasing = not (np.any(steps > 0) or np.any(steps[boundary] >= 0))
     checks["equal_length_equiprobable"] = same
     if not same:
         failures.append("words of equal length are not equally probable")
@@ -223,27 +236,20 @@ def verify_optimality(params: RandomTypingParams, i_max: int) -> OptimalityRepor
     if not decreasing:
         failures.append("rank probabilities do not decrease stepwise")
 
-    # Pool of available magnitudes: lengths of every string through one
-    # length beyond the table, so "the V smallest" is a real constraint.
-    top = int(lengths.max()) + 1
-    pool = np.repeat(
-        np.arange(l_min, top + 1), [N**k for k in range(l_min, top + 1)]
-    ).astype(float)
-    dist = assign.RankedDistribution(probs / probs.sum())
-    asg = assign.Assignment(lengths.astype(float))
-    ms = assign.MagnitudeMultiset(pool, allow_zero=(l_min == 0))
-    optimal = assign.is_optimal(dist, asg, ms)
+    optimal = _shortest_in_order(N, l_min, lengths)
     checks["assignment_optimal"] = optimal
     if not optimal:
         failures.append("length assignment violates the optimality conditions")
 
     if N <= 26:
+        codebook.check_table_size(N, l_min, i_max)
         alphabet = codebook.Alphabet.latin(N)
         table = [codebook.nth_string(alphabet, l_min, i) for i in range(1, i_max + 1)]
-        complete = len(set(table)) == len(table)
-        for length in range(l_min, int(lengths.max())):  # complete blocks only
-            if sum(len(w) == length for w in table) != N**length:
-                complete = False
+        per_length = Counter(map(len, table))
+        complete = len(set(table)) == len(table) and all(
+            per_length[length] == N**length  # complete blocks only
+            for length in range(l_min, int(lengths.max()))
+        )
         checks["all_strings_of_used_lengths"] = complete
         if not complete:
             failures.append("some available strings of a used length are unused")

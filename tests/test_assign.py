@@ -1,7 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optcoding.assign import (
     Assignment,
@@ -44,6 +47,27 @@ def brute_pair_counts(p, l):
             elif s < 0:
                 n_d += 1
     return n_c, n_d
+
+
+def counter_is_optimal(d, a, ms):
+    """Reference for is_optimal: the explicit multiset comparison with Counters."""
+    if len(a) != d.size:
+        raise ValueError("size mismatch")
+    used = Counter(a.magnitudes.tolist())
+    avail = Counter(ms.values.tolist())
+    if used - avail:
+        raise ValueError("assignment is not a sub-multiset of the magnitude pool")
+    if used != Counter(ms.values[: d.size].tolist()):
+        return False
+    m = a.magnitudes
+    return bool(np.all(m[:-1] <= m[1:]))
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError:
+        return "raises"
 
 
 class TestRankedDistribution:
@@ -248,6 +272,57 @@ class TestIsOptimal:
     def test_foreign_magnitudes_rejected(self):
         with pytest.raises(ValueError):
             is_optimal(dist(0.5, 0.5), asg(1, 7), pool(1, 2, 3))
+
+
+    def test_pool_smaller_than_the_assignment_is_foreign(self):
+        with pytest.raises(ValueError):
+            is_optimal(dist(0.4, 0.3, 0.3), asg(1, 1, 2), pool(1, 2))
+
+
+# Mutations of the optimal assignment: swap two ranks, bump one magnitude
+# up by a step, or drop a magnitude for another pool value (across a block
+# boundary when the two differ).
+MUTATION = st.tuples(
+    st.sampled_from(["swap", "bump", "drop"]),
+    st.integers(0, 20),
+    st.integers(0, 20),
+)
+
+
+class TestIsOptimalAgainstCounterOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 4), min_size=1, max_size=14),
+        v=st.integers(1, 15),
+        mutations=st.lists(MUTATION, max_size=3),
+        half_steps=st.booleans(),
+    )
+    def test_agrees_on_tie_heavy_pools(self, values, v, mutations, half_steps):
+        scale = 0.5 if half_steps else 1.0
+        ms = MagnitudeMultiset(np.array(values) * scale, allow_zero=True)
+        m = list(ms.values[:v]) + [ms.values[-1]] * max(0, v - ms.size)
+        for kind, i, j in mutations:
+            i, j = i % v, j % v
+            if kind == "swap":
+                m[i], m[j] = m[j], m[i]
+            elif kind == "bump":
+                m[i] += scale
+            else:
+                m[i] = ms.values[j % ms.size]
+        d = RankedDistribution(np.full(v, 1.0 / v))
+        a = Assignment(np.array(m, dtype=float))
+        assert outcome(is_optimal, d, a, ms) == outcome(counter_is_optimal, d, a, ms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        used=st.lists(st.integers(0, 5), min_size=1, max_size=10),
+        avail=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+    )
+    def test_agrees_on_arbitrary_draws(self, used, avail):
+        ms = MagnitudeMultiset(np.array(avail, dtype=float), allow_zero=True)
+        d = RankedDistribution(np.full(len(used), 1.0 / len(used)))
+        a = Assignment(np.array(used, dtype=float))
+        assert outcome(is_optimal, d, a, ms) == outcome(counter_is_optimal, d, a, ms)
 
 
 class TestOptimalityInvariants:

@@ -4,6 +4,9 @@ import sys
 
 import pytest
 
+from optcoding import cli
+from optcoding.randtype import RandomTypingParams, figure2_data
+
 CLI = [sys.executable, "-m", "optcoding"]
 
 
@@ -38,6 +41,17 @@ class TestCodes:
         good = run("codes", "--alphabet", "ab", "--ranks", "3", "--lmin", "0",
                    "--allow-empty")
         assert good.stdout.splitlines()[1] == "1\t"
+
+
+    @pytest.mark.parametrize("alphabet", ["ab", "a"])
+    def test_table_too_large_to_build_is_a_domain_error(self, tmp_path, alphabet):
+        target = tmp_path / "codes.tsv"
+        res = run("codes", "--alphabet", alphabet, "--ranks", "1000000000000",
+                  "--output", str(target))
+        assert res.returncode == 3
+        assert "Traceback" not in res.stderr
+        assert "characters" in res.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLengths:
@@ -75,6 +89,21 @@ class TestFigure:
 
     def test_domain_validation(self):
         assert run("figure", "--N", "2", "--ps", "1.5", "--imax", "5").returncode == 3
+
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 26])
+    @pytest.mark.parametrize("lmin", [0, 1])
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    def test_bytes_match_per_row_formatting(self, capsys, n, lmin, fmt):
+        params = RandomTypingParams(n, 0.3, lmin)
+        ranks, probs = figure2_data(params, 700)
+        sep = "," if fmt == "csv" else "\t"
+        rows = [f"{i}{sep}{str(p)}" for i, p in zip(ranks.tolist(), probs.tolist())]
+        expected = "\n".join([f"i{sep}p_i", *rows]) + "\n"
+        argv = ["figure", "--N", str(n), "--ps", "0.3", "--lmin", str(lmin),
+                "--imax", "700", "--format", fmt]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestSimulate:

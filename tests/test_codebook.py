@@ -13,6 +13,7 @@ from optcoding.codebook import (
     Alphabet,
     CodeClass,
     CodeTable,
+    check_table_size,
     classify,
     code_length_for_rank,
     mean_code_length,
@@ -169,6 +170,27 @@ class TestOptimalTable:
         for n, v in [(2, 100), (3, 50), (26, 60)]:
             table = optimal_nonsingular_code(uniform(v), Alphabet.latin(n), 1)
             assert len(set(table.codes)) == v
+
+    def test_tables_past_the_character_cap_are_refused(self):
+        unary = Alphabet.from_string("a")
+        # 14142 unary codes hold 100,005,153 characters
+        optimal_nonsingular_code(uniform(2), unary, 1)
+        with pytest.raises(ValueError, match="characters"):
+            optimal_nonsingular_code(uniform(14_142), unary, 1)
+        check_table_size(1, 1, 14_141)
+        with pytest.raises(ValueError, match="characters"):
+            check_table_size(2, 1, 10**12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 5), l_min=st.integers(0, 3), v=st.integers(1, 300))
+    def test_character_count_is_the_closed_form(self, n, l_min, v):
+        chars = sum(len(nth_string(Alphabet.latin(n), l_min, i)) for i in range(1, v + 1))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr("optcoding.codebook.MAX_TABLE_CHARS", chars)
+            check_table_size(n, l_min, v)
+            m.setattr("optcoding.codebook.MAX_TABLE_CHARS", chars - 1)
+            with pytest.raises(ValueError, match=f"needs {chars} characters"):
+                check_table_size(n, l_min, v)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_beats_random_nonsingular_tables(self, seed):

@@ -1,8 +1,11 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
+from optcoding import maxent
 from optcoding.maxent import (
     CodeLength,
     EntropyValue,
@@ -86,6 +89,72 @@ class TestHurwitzZeta:
             hurwitz_zeta(2.0, 0.0)
         with pytest.raises(ValueError):
             hurwitz_zeta(2.0, -3.0)
+
+
+class TestHurwitzZetaRange:
+    # The corners of fit_mle's Zipf-Mandelbrot search box, and a point of
+    # the box where the sum is a subnormal float with few significant bits.
+    POINTS = [(a, b) for a in (1.0 + 1e-6, 64.0) for b in (1e-6, 1e6)] + [(64.0, 1e5)]
+
+    @pytest.mark.parametrize("alpha,b", POINTS)
+    def test_box_corners_against_mpmath_without_warnings(self, alpha, b):
+        exact = mpmath.zeta(alpha, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = hurwitz_zeta(alpha, b)
+            log_z = maxent._log_hurwitz_zeta(alpha, b)
+        # float(exact) is inf past the largest float and 0.0 below the smallest
+        assert z == pytest.approx(float(exact), rel=1e-10)
+        assert log_z == pytest.approx(float(mpmath.log(exact)), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha,b", [(1.3, 2.5), (2.0, 0.5), (64.0, 0.5), (1.0 + 1e-6, 1e-6)])
+    def test_log_inside_the_float_range_is_the_direct_log(self, alpha, b):
+        assert maxent._log_hurwitz_zeta(alpha, b) == math.log(hurwitz_zeta(alpha, b))
+
+
+class TestNormalizersComputedOnce:
+    def test_pmfs_bit_identical_to_the_per_call_formula(self):
+        for alpha in (1.05, 2.5):
+            p = ZetaParams(alpha)
+            for i in range(1, 2001):
+                assert zeta_pmf(p, i) == i**-alpha / riemann_zeta(alpha)
+        for alpha, b in ((1.3, 2.5), (2.0, 0.5)):
+            p = ZipfMandelbrotParams(alpha, b)
+            for i in range(0, 2000):
+                assert zipf_mandelbrot_pmf(p, i) == (i + b) ** -alpha / hurwitz_zeta(alpha, b)
+        law, alpha, t = math.sqrt, 0.7, 300
+        spec = MaxentSpec(alpha, law, truncation=t)
+        z = float(np.exp(-alpha * np.array([law(j) for j in range(1, t + 1)])).sum())
+        for i in range(1, t + 1):
+            assert maxent_pmf(spec, i) == math.exp(-alpha * law(i)) / z
+
+    def test_entropy_bit_identical_to_the_per_call_formula(self):
+        alpha = 2.5
+        p = ZetaParams(alpha)
+        cached = entropy(lambda i: zeta_pmf(p, i), 25_000)
+        per_call = entropy(lambda i: i**-alpha / riemann_zeta(alpha), 25_000)
+        assert cached == per_call
+
+    def test_zeta_normalizer_is_computed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(maxent, "riemann_zeta", lambda a: calls.append(a) or 1.5)
+        p = ZetaParams(2.0)
+        assert [zeta_pmf(p, i) for i in (1, 2)] == [1 / 1.5, 0.25 / 1.5]
+        assert calls == [2.0]
+
+    def test_truncated_spec_evaluates_its_length_law_once_per_rank(self):
+        calls = []
+
+        def law(i):
+            calls.append(i)
+            return math.sqrt(i)
+
+        t = 200
+        spec = MaxentSpec(0.7, law, truncation=t)
+        sample(spec, 1, 50)
+        assert len(calls) == 2 * t  # the partition sum, then the pmf table
+        entropy(lambda i: maxent_pmf(spec, i), t)
+        assert len(calls) == 3 * t
 
 
 class TestMaxentPmf:

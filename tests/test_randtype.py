@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 from optcoding.assign import Assignment, RankedDistribution, kendall_tau, pair_counts
 from optcoding.codebook import (
     Alphabet,
+    block_counts,
     code_length_for_rank,
     nth_string,
     rank_of_string,
@@ -18,6 +23,7 @@ from optcoding.maxent import GeometricParams, geometric_pmf
 from optcoding.randtype import (
     AbbreviationLaw,
     RandomTypingParams,
+    _shortest_in_order,
     abbreviation_law,
     figure2_data,
     generate,
@@ -35,6 +41,22 @@ BINARY = RandomTypingParams(2, 0.18, 1)
 def tail_mass_beyond_length(params, l):
     """Closed form for the probability of words longer than l."""
     return (1.0 - params.p_s) ** (l - params.l_min + 1)
+
+
+def length_pool(N, l_min, top):
+    """Every string length from l_min through top, N**l copies of length l."""
+    return np.repeat(np.arange(l_min, top + 1), [N**l for l in range(l_min, top + 1)])
+
+
+def pool_optimality(N, l_min, lengths):
+    """Reference for the block-count check: sorted lengths against the head
+    of the explicit pool through one length past the longest used, with the
+    Counter multiset test (foreign lengths count as not optimal)."""
+    pool = length_pool(N, l_min, int(lengths.max()) + 1)
+    used = Counter(lengths.tolist())
+    if used - Counter(pool.tolist()) or used != Counter(pool[: lengths.size].tolist()):
+        return False
+    return bool(np.all(lengths[:-1] <= lengths[1:]))
 
 
 class TestParams:
@@ -249,6 +271,34 @@ class TestVerifyOptimality:
             sum(p * l for p, l in zip(d.probs, lengths)), rel=1e-12
         )
 
+    def test_unary_and_empty_string_tables(self):
+        for params in (RandomTypingParams(1, 0.3, 0), RandomTypingParams(3, 0.4, 0),
+                       RandomTypingParams(2, 0.5, 2)):
+            report = verify_optimality(params, 200)
+            assert report.passed, report.checks
+
+    def test_unary_table_past_the_size_cap_is_refused(self):
+        with pytest.raises(ValueError, match="characters"):
+            verify_optimality(RandomTypingParams(1, 0.3, 1), 10**6)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+    def test_paper_scale_runs_in_bounded_memory(self):
+        # The explicit pool of every string length through one past the
+        # table is 26**5 entries here and needed about 750 MB.  The child's
+        # ru_maxrss would also count the test runner's own peak, which the
+        # kernel carries over at exec, so the child reports its VmHWM.
+        script = (
+            "import re\n"
+            "from optcoding.randtype import RandomTypingParams, verify_optimality\n"
+            "report = verify_optimality(RandomTypingParams(26, 0.18), 200_000)\n"
+            "assert report.passed and len(report.checks) == 4, report\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(int(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1)) // 1024)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, check=True)
+        assert int(out.stdout) < 300
+
     def test_report_is_structured(self):
         report = verify_optimality(BINARY, 20)
         assert set(report.checks) == {
@@ -258,6 +308,44 @@ class TestVerifyOptimality:
             "all_strings_of_used_lengths",
         }
         assert report.failures == ()
+
+
+class TestBlockCountCheck:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 4), l_min=st.integers(0, 2), v=st.integers(1, 60))
+    def test_block_counts_are_the_head_of_the_pool(self, n, l_min, v):
+        top = code_length_for_rank(n, l_min, v)
+        head = np.bincount(length_pool(n, l_min, top + 1)[:v] - l_min)
+        assert block_counts(n, l_min, v) == head.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        l_min=st.integers(0, 2),
+        v=st.integers(1, 60),
+        mutation=st.sampled_from(["none", "swap", "bump", "drop", "shorten"]),
+        where=st.tuples(st.integers(0, 59), st.integers(0, 59)),
+    )
+    def test_agrees_with_the_explicit_pool(self, n, l_min, v, mutation, where):
+        lengths = code_length_for_rank(n, l_min, np.arange(1, v + 1))
+        i, j = where[0] % v, where[1] % v
+        if mutation == "swap":
+            lengths[i], lengths[j] = lengths[j], lengths[i]
+        elif mutation == "bump":
+            lengths[i] += 1
+        elif mutation == "drop":  # a string of the next block instead
+            lengths[i] = lengths.max() + 1
+        elif mutation == "shorten" and lengths[i] > 0:
+            lengths[i] -= 1
+        assert _shortest_in_order(n, l_min, lengths) == pool_optimality(n, l_min, lengths)
+
+    def test_detects_a_length_past_the_boundary(self):
+        lengths = code_length_for_rank(2, 1, np.arange(1, 7))  # 1 1 2 2 2 2
+        assert _shortest_in_order(2, 1, lengths)
+        lengths[-1] = 3
+        assert not _shortest_in_order(2, 1, lengths)
+        lengths = np.array([1, 2, 1, 2, 2, 2])
+        assert not _shortest_in_order(2, 1, lengths)
 
 
 class TestFigureData:

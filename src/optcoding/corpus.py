@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -106,21 +107,13 @@ def tokenize(text: str, *, lowercase: bool = False, strip_punctuation: bool = Tr
     Punctuation stripping removes leading and trailing characters whose
     Unicode category is P*; tokens empty after stripping are dropped.
     """
-    tokens = []
-    for raw in text.split():
-        tok = raw
-        if strip_punctuation:
-            start, end = 0, len(tok)
-            while start < end and unicodedata.category(tok[start]).startswith("P"):
-                start += 1
-            while end > start and unicodedata.category(tok[end - 1]).startswith("P"):
-                end -= 1
-            tok = tok[start:end]
-        if lowercase:
-            tok = tok.casefold()
-        if tok:
-            tokens.append(tok)
-    return tokens
+    tokens = text.split()
+    if strip_punctuation:
+        punct = "".join(c for c in set(text) if unicodedata.category(c).startswith("P"))
+        tokens = [tok.strip(punct) for tok in tokens]
+    if lowercase:
+        tokens = [tok.casefold() for tok in tokens]
+    return [tok for tok in tokens if tok]
 
 
 def _grapheme_count(token: str) -> int:
@@ -129,12 +122,24 @@ def _grapheme_count(token: str) -> int:
     return len(regex.findall(r"\X", token))
 
 
-def _default_magnitude(token: str, mode: str) -> float:
-    if mode == "chars":
-        return float(len(token))
-    if mode == "graphemes":
-        return float(_grapheme_count(token))
-    raise ValueError(f"unknown magnitude mode {mode!r}")
+_MEASURES = {"chars": len, "graphemes": _grapheme_count}
+
+
+def _table_from_counts(
+    counts: Counter, magnitude: str, magnitudes: Mapping[str, float] | None
+) -> FrequencyTable:
+    """Table of counted types: frequency descending, ties in first-seen order."""
+    measure = _MEASURES.get(magnitude)
+    if measure is None:
+        raise ValueError(f"unknown magnitude mode {magnitude!r}")
+    if not counts:
+        raise ValueError("empty input: no tokens")
+    # sorted() stays stable under reverse=True: tied types keep first-seen order
+    ordered = sorted(counts, key=counts.__getitem__, reverse=True)
+    freqs = [counts[t] for t in ordered]
+    sidecar = magnitudes or {}
+    mags = [float(sidecar[t]) if t in sidecar else measure(t) for t in ordered]
+    return FrequencyTable(tuple(ordered), freqs, mags, sum(freqs))
 
 
 def table_from_tokens(
@@ -149,21 +154,7 @@ def table_from_tokens(
     counts extended grapheme clusters instead); a sidecar mapping overrides
     the default per type.
     """
-    counts: dict[str, int] = {}
-    for tok in tokens:
-        counts[tok] = counts.get(tok, 0) + 1
-    if not counts:
-        raise ValueError("empty input: no tokens")
-    first_seen = {t: k for k, t in enumerate(counts)}
-    ordered = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
-    freqs = [counts[t] for t in ordered]
-    mags = []
-    for t in ordered:
-        if magnitudes is not None and t in magnitudes:
-            mags.append(float(magnitudes[t]))
-        else:
-            mags.append(_default_magnitude(t, magnitude))
-    return FrequencyTable(tuple(ordered), np.array(freqs), np.array(mags), sum(freqs))
+    return _table_from_counts(Counter(tokens), magnitude, magnitudes)
 
 
 def build_table(
@@ -177,12 +168,10 @@ def build_table(
     """Frequency table from raw text (a string or an iterable of lines)."""
     if isinstance(source, str):
         source = [source]
-
-    def token_stream():
-        for chunk in source:
-            yield from tokenize(chunk, lowercase=lowercase, strip_punctuation=strip_punctuation)
-
-    return table_from_tokens(token_stream(), magnitude=magnitude, magnitudes=magnitudes)
+    counts = Counter()
+    for chunk in source:
+        counts.update(tokenize(chunk, lowercase=lowercase, strip_punctuation=strip_punctuation))
+    return _table_from_counts(counts, magnitude, magnitudes)
 
 
 @dataclass(frozen=True)

@@ -49,40 +49,48 @@ __all__ = [
 # The rank-distribution families `fit_mle` knows, in their default order.
 FAMILIES = ("zeta", "zipf-mandelbrot", "geometric")
 
-_TAIL_BOUND = 1e-13
+_LOG_TAIL_BOUND = math.log(1e-13)
+_LOG_30240 = math.log(30240.0)  # 6! / B_6, of the first omitted correction
 _SAMPLE_HEAD = 1 << 16
 
 
 def _head_length(alpha: float, b: float) -> int:
     """Smallest head length M in 0, 16, 64, ... whose Euler-Maclaurin tail
-    error bound, the first omitted correction, is below 1e-13."""
+    error bound, the first omitted correction, is below 1e-13 * min(1, L),
+    where L = max(b^-alpha, b^(1-alpha)/(alpha-1)) <= the sum (L >= 1 if b <= 1)."""
     log_factor = (
         math.log(alpha)
         + math.log1p(alpha)
         + math.log(alpha + 2)
         + math.log(alpha + 3)
         + math.log(alpha + 4)
-        - math.log(30240.0)
+        - _LOG_30240
     )
-    log_target = math.log(_TAIL_BOUND)
-    m = 0
-    while log_factor - (alpha + 5) * math.log(m + b) >= log_target:
+    log_b = math.log(b)
+    log_target = _LOG_TAIL_BOUND
+    log_lower = (1 - alpha) * log_b - math.log(alpha - 1)
+    if log_lower < 0 < log_b:  # else L >= 1
+        log_target += max(log_lower, -alpha * log_b)
+    m, log_x = 0, log_b
+    while log_factor - (alpha + 5) * log_x >= log_target:
         m = max(16, m * 4)
         if m > 1 << 26:  # unreachable for alpha > 1, b > 0 in float range
             break
+        log_x = math.log(m + b)
     return m
 
 
 def hurwitz_zeta(alpha: float, b: float) -> float:
-    """sum_{i>=0} (i + b)^(-alpha), absolute error well below 1e-10.
+    """sum_{i>=0} (i + b)^(-alpha), relative error well below 1e-10.
 
     Direct summation of the first M terms plus the Euler-Maclaurin tail
     (integral, half-term and two Bernoulli corrections).  The first
     omitted correction bounds the truncation error; M is the smallest
-    head length that drives that bound below 1e-13, so calls with a
-    large offset b cost almost nothing.  A sum past the largest float
-    (tiny b, large alpha) is inf, without an overflow warning; its
-    logarithm is still finite in `_log_hurwitz_zeta`.
+    head length that drives that bound below 1e-13 of the sum (of 1
+    where the sum exceeds 1), so calls with a large offset b cost almost
+    nothing.  A sum past the largest float (tiny b, large alpha) is inf,
+    without an overflow warning; its logarithm is still finite in
+    `_log_hurwitz_zeta`.
     """
     alpha = float(alpha)
     b = float(b)
@@ -134,7 +142,7 @@ def _log_hurwitz_zeta(alpha: float, b: float) -> float:
 
 
 def riemann_zeta(alpha: float) -> float:
-    """sum_{j>=1} j^(-alpha), absolute error well below 1e-10."""
+    """sum_{j>=1} j^(-alpha), relative error well below 1e-10."""
     return hurwitz_zeta(alpha, 1.0)
 
 
@@ -368,6 +376,8 @@ def entropy(
     The truncated mass must be within 1e-6 of 1; pick the truncation so the
     missing tail is negligible for the family at hand.
     """
+    if unit not in ("nats", "bits"):
+        raise ValueError("unit must be 'nats' or 'bits'")
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     p = np.array([pmf(i) for i in range(1, truncation + 1)], dtype=float)
@@ -380,9 +390,7 @@ def entropy(
         )
     pos = p[p > 0]
     h = float(-(pos * np.log(pos)).sum())
-    if unit == "bits":
-        return EntropyValue(h / math.log(2.0), "bits")
-    return EntropyValue(h, "nats")
+    return EntropyValue(h / math.log(2.0) if unit == "bits" else h, unit)
 
 
 def _power_family_ranks(alpha: float, b: float, u: np.ndarray) -> np.ndarray:

@@ -165,6 +165,18 @@ class TestFit:
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["n"] == 100
 
+    @pytest.mark.parametrize("top", [100, 1000])
+    def test_steep_two_rank_data_fits_a_normalized_law(self, tmp_path, top):
+        # The Zipf-Mandelbrot search reaches alpha near 64 and b > 1, where
+        # the normalizer is far below 1.
+        data = tmp_path / "counts.tsv"
+        data.write_text(f"1\t{top}\n2\t2\n")
+        out = run("fit", "--input", str(data))
+        assert out.returncode == 0, out.stderr
+        lls = {r["family"]: r["log_likelihood"] for r in json.loads(out.stdout)["results"]}
+        assert all(ll <= 0.0 for ll in lls.values()), lls
+        assert lls["zipf-mandelbrot"] >= lls["zeta"], lls
+
     def test_alpha_domain_error(self, tmp_path):
         data = tmp_path / "counts.tsv"
         data.write_text("1\t50\n")  # single rank: degenerate

@@ -1,8 +1,12 @@
 import json
 import math
+import unicodedata
 
 import numpy as np
 import pytest
+import regex
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optcoding.assign import Assignment, kendall_tau
 from optcoding.codebook import Alphabet, code_length_for_rank, mean_code_length
@@ -98,6 +102,121 @@ class TestBuildTable:
             FrequencyTable(("a", "b"), np.array([1, 2]), np.array([1.0, 1.0]), 3)
         with pytest.raises(ValueError):
             FrequencyTable(("a",), np.array([2]), np.array([1.0]), 3)
+
+
+# Reference implementations: the per-character stripper and the
+# first-seen sort key that `tokenize` and the table builder replaced.
+def oracle_tokenize(text, *, lowercase=False, strip_punctuation=True):
+    tokens = []
+    for raw in text.split():
+        tok = raw
+        if strip_punctuation:
+            start, end = 0, len(tok)
+            while start < end and unicodedata.category(tok[start]).startswith("P"):
+                start += 1
+            while end > start and unicodedata.category(tok[end - 1]).startswith("P"):
+                end -= 1
+            tok = tok[start:end]
+        if lowercase:
+            tok = tok.casefold()
+        if tok:
+            tokens.append(tok)
+    return tokens
+
+
+def oracle_table(tokens, magnitude="chars", magnitudes=None):
+    counts = {}
+    for tok in tokens:
+        counts[tok] = counts.get(tok, 0) + 1
+    first_seen = {t: k for k, t in enumerate(counts)}
+    ordered = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
+    measure = {"chars": len, "graphemes": lambda t: len(regex.findall(r"\X", t))}[magnitude]
+    mags = [
+        float(magnitudes[t]) if magnitudes is not None and t in magnitudes else float(measure(t))
+        for t in ordered
+    ]
+    return tuple(ordered), [counts[t] for t in ordered], mags
+
+
+# Letters, digits, every P* category (Pc Pd Ps Pe Pi Pf Po), S* symbols,
+# combining marks, Unicode whitespace and casefold expanders.
+CHARS = (
+    list("aZé7")
+    + list("_\u203f-\u2013([{)]}\u00ab\u2018\u00bb\u2019!.,\u00bf")
+    + list("$+\u00a9\u20ac^\u02da")
+    + ["\u0301", "\u0308"]
+    + list(" \t\n\u00a0\u2003\u3000\u2028\x85")
+    + list("\u00df\ufb01\u0130")
+)
+TEXT = st.text(alphabet=st.sampled_from(CHARS), max_size=60)
+FLAGS = st.booleans()
+
+
+def assert_matches_oracle(table, tokens, magnitude="chars", magnitudes=None):
+    types, freqs, mags = oracle_table(tokens, magnitude, magnitudes)
+    assert table.types == types
+    assert table.frequencies.tolist() == freqs
+    assert table.magnitudes.tolist() == mags
+    assert table.total_tokens == len(tokens)
+
+
+class TestAgainstOracles:
+    def test_every_punctuation_category_is_covered(self):
+        cats = {unicodedata.category(c) for c in CHARS}
+        assert {"Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po", "Mn"} <= cats
+        assert {c for c in cats if c.startswith("S")} and {c for c in cats if c.startswith("Z")}
+
+    @settings(max_examples=300, deadline=None)
+    @given(TEXT, FLAGS, FLAGS)
+    def test_tokenize(self, text, lowercase, strip):
+        assert tokenize(text, lowercase=lowercase, strip_punctuation=strip) == oracle_tokenize(
+            text, lowercase=lowercase, strip_punctuation=strip
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(TEXT, st.lists(TEXT, max_size=4)),
+        FLAGS,
+        FLAGS,
+        st.sampled_from(["chars", "graphemes"]),
+        st.data(),
+    )
+    def test_build_table(self, source, lowercase, strip, magnitude, data):
+        chunks = [source] if isinstance(source, str) else source
+        tokens = [
+            tok
+            for chunk in chunks
+            for tok in oracle_tokenize(chunk, lowercase=lowercase, strip_punctuation=strip)
+        ]
+        kwargs = dict(lowercase=lowercase, strip_punctuation=strip, magnitude=magnitude)
+        if not tokens:
+            with pytest.raises(ValueError, match="no tokens"):
+                build_table(source, **kwargs)
+            return
+        covered = data.draw(st.sets(st.sampled_from(sorted(set(tokens)))))
+        sidecar = {t: 0.5 + k for k, t in enumerate(sorted(covered))}
+        table = build_table(source, magnitudes=sidecar, **kwargs)
+        assert_matches_oracle(table, tokens, magnitude, sidecar)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["a", "b", "ab", "\u00df", "e\u0301", "\U0001f44d\U0001f3fd"])),
+        st.sampled_from(["chars", "graphemes"]),
+    )
+    def test_table_from_tokens(self, tokens, magnitude):
+        if not tokens:
+            with pytest.raises(ValueError, match="no tokens"):
+                table_from_tokens(tokens, magnitude=magnitude)
+            return
+        table = table_from_tokens(iter(tokens), magnitude=magnitude)
+        assert_matches_oracle(table, tokens, magnitude)
+
+    def test_unknown_magnitude_mode_raises_with_a_full_sidecar(self):
+        full = {"a": 1.0, "b": 2.0}
+        with pytest.raises(ValueError, match="bogus"):
+            table_from_tokens(["a", "b", "b"], magnitude="bogus", magnitudes=full)
+        with pytest.raises(ValueError, match="bogus"):
+            build_table("a b b", magnitude="bogus", magnitudes=full)
 
 
 class TestReadHelpers:

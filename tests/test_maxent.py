@@ -1,9 +1,12 @@
 import math
+import sys
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optcoding import maxent
 from optcoding.maxent import (
@@ -110,6 +113,21 @@ class TestHurwitzZetaRange:
     @pytest.mark.parametrize("alpha,b", [(1.3, 2.5), (2.0, 0.5), (64.0, 0.5), (1.0 + 1e-6, 1e-6)])
     def test_log_inside_the_float_range_is_the_direct_log(self, alpha, b):
         assert maxent._log_hurwitz_zeta(alpha, b) == math.log(hurwitz_zeta(alpha, b))
+
+    @pytest.mark.parametrize("alpha", [1.0 + 1e-6, 1.05, 1.2, 2.0, 2.5, 10.0, 30.0, 64.0])
+    def test_relative_accuracy_against_mpmath_on_a_grid(self, alpha):
+        # A sum far below 1 (large alpha and b) must be accurate relative to
+        # itself; an absolute target there left hurwitz_zeta(64, 2) negative.
+        # mpmath's own zeta needs ~300 digits at alpha=64, b=1e3 to be exact.
+        for b in (1e-6, 0.5, 1.0, 1.5, 2.0, 10.0, 1e3, 1e6):
+            with mpmath.workdps(300):
+                exact = mpmath.zeta(alpha, b)
+                log_exact = float(mpmath.log(exact))
+            if sys.float_info.min <= exact < sys.float_info.max:
+                assert hurwitz_zeta(alpha, b) == pytest.approx(float(exact), rel=1e-12), b
+            assert maxent._log_hurwitz_zeta(alpha, b) == pytest.approx(
+                log_exact, rel=1e-15, abs=1e-12
+            ), b
 
 
 class TestNormalizersComputedOnce:
@@ -312,6 +330,10 @@ class TestEntropy:
         with pytest.raises(ValueError):
             entropy(lambda i: zeta_pmf(params, i), truncation=10)
 
+    def test_unknown_unit_rejected(self):
+        with pytest.raises(ValueError, match="unit"):
+            entropy(lambda i: 0.25, truncation=4, unit="bit")
+
     def test_entropy_value_validation(self):
         with pytest.raises(ValueError):
             EntropyValue(1.0, "kilobits")
@@ -378,6 +400,16 @@ class TestFitting:
         ll_zeta = fit_mle(ranks, "zeta").log_likelihood
         ll_zm = fit_mle(ranks, "zipf-mandelbrot").log_likelihood
         assert ll_zm >= ll_zeta - 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 2000), min_size=2, max_size=6))
+    def test_nesting_and_likelihoods_at_most_zero(self, counts):
+        # Zipf-Mandelbrot at b=1 is the zeta law, and every pmf value is at
+        # most 1; a large-alpha fit once reported ZM log-likelihood +379.
+        observed = dict(enumerate(counts, start=1))
+        fits = {f: fit_mle(observed, f).log_likelihood for f in maxent.FAMILIES}
+        assert all(ll <= 0.0 for ll in fits.values()), fits
+        assert fits["zipf-mandelbrot"] >= fits["zeta"] - 1e-9 * abs(fits["zeta"]), fits
 
     def test_accepts_rank_count_mapping(self):
         fit = fit_mle({1: 70, 2: 20, 3: 10}, "geometric")

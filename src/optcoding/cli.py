@@ -94,7 +94,15 @@ def _cmd_figure(args) -> str:
     return _table_text(("i", "p_i"), (ranks.tolist(), column), args.format)
 
 
+def _check_recoding_lmin(lmin: int) -> None:
+    """simulate and analyze recode without the empty string: reject l_min < 1
+    before any words are drawn or read."""
+    if lmin < 1:
+        raise ValueError(f"--lmin must be >= 1 (no empty code string), got {lmin}")
+
+
 def _cmd_simulate(args) -> str:
+    _check_recoding_lmin(args.lmin)
     bias = None
     if args.bias is not None:
         bias = np.array([float(x) for x in args.bias.split(",")])
@@ -160,6 +168,7 @@ def _cmd_fit(args) -> str:
 
 
 def _cmd_analyze(args) -> str:
+    _check_recoding_lmin(args.lmin)
     text = corpus.read_text(args.input)
     magnitudes = (
         corpus.read_magnitudes(args.magnitudes) if args.magnitudes else None

@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy import optimize
 
 from .codebook import code_length_for_rank
 
@@ -52,6 +51,7 @@ FAMILIES = ("zeta", "zipf-mandelbrot", "geometric")
 _LOG_TAIL_BOUND = math.log(1e-13)
 _LOG_30240 = math.log(30240.0)  # 6! / B_6, of the first omitted correction
 _SAMPLE_HEAD = 1 << 16
+_RANK_LIMIT = 1 << 1023  # largest sampled rank: the last power of two in float range
 
 
 def _head_length(alpha: float, b: float) -> int:
@@ -103,14 +103,18 @@ def hurwitz_zeta(alpha: float, b: float) -> float:
     if m:
         with np.errstate(over="ignore"):  # a term past the float range makes the sum inf
             head = float(np.sum((np.arange(m) + b) ** -alpha))
-    x = m + b
-    tail = (
+    return head + _em_tail(alpha, m + b)
+
+
+def _em_tail(alpha: float, x):
+    """Euler-Maclaurin tail sum_{i>=0} (i + x)^(-alpha): the integral, the
+    half-term and two Bernoulli corrections.  x may be an array."""
+    return (
         x ** (1 - alpha) / (alpha - 1)
         + 0.5 * x**-alpha
         + alpha * x ** (-alpha - 1) / 12.0
         - alpha * (alpha + 1) * (alpha + 2) * x ** (-alpha - 3) / 720.0
     )
-    return head + tail
 
 
 def _log_hurwitz_zeta(alpha: float, b: float) -> float:
@@ -396,39 +400,95 @@ def entropy(
 def _power_family_ranks(alpha: float, b: float, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF ranks for P(rank r) = (r - 1 + b)^(-alpha) / hurwitz_zeta(alpha, b).
 
-    A cached cumulative table covers the head; draws landing beyond it are
-    inverted exactly through the Hurwitz-zeta tail, so heavy tails need no
-    gigantic table.
+    A cumulative table covers the first 2^16 ranks.  A draw u past it gets
+    the smallest rank r >= 2^16 with hurwitz_zeta(alpha, r + b) <= (1 - u) Z.
+    All such draws are solved together in floats; that solve is only a
+    starting point, from which each rank is settled exactly on the scalar
+    predicate, so the same u always gives the same rank.  Ranks of 2^63 or
+    more make the result an object array.
     """
     z = hurwitz_zeta(alpha, b)
     head = (np.arange(_SAMPLE_HEAD) + b) ** -alpha
     cdf = np.cumsum(head) / z
-    ranks = np.searchsorted(cdf, u, side="left") + 1
-    ranks = ranks.astype(np.int64)
-    oversized: dict[int, int] = {}
-    for idx in np.flatnonzero(u > cdf[-1]):
-        target = (1.0 - u[idx]) * z  # want smallest r with zeta(alpha, r + b) <= target
-        lo = _SAMPLE_HEAD
-        hi = lo * 2
-        while hurwitz_zeta(alpha, hi + b) > target:
-            lo = hi
-            hi *= 2
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if hurwitz_zeta(alpha, mid + b) <= target:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo < 2**63:
-            ranks[idx] = lo
+    ranks = (np.searchsorted(cdf, u, side="left") + 1).astype(np.int64)
+    tail = np.flatnonzero(u > cdf[-1])
+    if not tail.size:
+        return ranks
+    targets = (1.0 - u[tail]) * z
+    if hurwitz_zeta(alpha, _RANK_LIMIT + b) > targets.min():
+        raise ValueError(
+            f"a sampled rank exceeds 2**1023, the float range of the offset "
+            f"r + b, at alpha={alpha!r} (b={b!r})"
+        )
+    x_lo, x_hi = float(_SAMPLE_HEAD + b), float(_RANK_LIMIT + b)
+    offsets = _tail_offsets(float(alpha), targets, x_lo, x_hi)
+    guesses = np.ceil(offsets - b).tolist()
+    settled = [
+        _settle_rank(alpha, b, t, int(g)) for t, g in zip(targets.tolist(), guesses)
+    ]
+    if max(settled) < 2**63:
+        ranks[tail] = settled
+        return ranks
+    out = ranks.astype(object)
+    out[tail] = settled
+    return out
+
+
+def _tail_offsets(alpha: float, t: np.ndarray, x_lo: float, x_hi: float) -> np.ndarray:
+    """Smallest float x in [x_lo, x_hi] with _em_tail(alpha, x) <= t, for all t at once.
+
+    Bisected on the int64 bit patterns of the floats, which order as
+    positive floats do, so at most 63 vectorized steps.  numpy's power may
+    differ from the scalar one in the last bit, so the result is only a
+    starting point for `_settle_rank`.
+    """
+    lo = np.full(t.size, np.float64(x_lo).view(np.int64) - 1)  # tail(lo) > t
+    hi = np.full(t.size, np.float64(x_hi).view(np.int64))  # tail(hi) <= t
+    open_ = np.arange(t.size)
+    while open_.size:
+        mid = lo[open_] + (hi[open_] - lo[open_]) // 2
+        ok = _em_tail(alpha, mid.view(np.float64)) <= t[open_]
+        hi[open_[ok]] = mid[ok]
+        lo[open_[~ok]] = mid[~ok]
+        open_ = open_[hi[open_] - lo[open_] > 1]
+    return hi.view(np.float64)
+
+
+def _settle_rank(alpha: float, b: float, t: float, guess: int) -> int:
+    """Smallest rank r >= 2^16 with hurwitz_zeta(alpha, r + b) <= t, found from a guess.
+
+    Gallops from the guess to a bracket, then bisects it.  Past 2^53
+    neighbouring ranks share the float r + b, so steps start at its spacing
+    and each distinct float is evaluated once.  Needs the predicate to hold
+    at _RANK_LIMIT.
+    """
+    seen: dict = {}
+
+    def holds(r: int) -> bool:
+        x = r + b
+        if x not in seen:
+            seen[x] = hurwitz_zeta(alpha, x) <= t
+        return seen[x]
+
+    r = min(max(guess, _SAMPLE_HEAD), _RANK_LIMIT)
+    step = max(1, int(math.ulp(r)))
+    if holds(r):
+        hi, lo = r, r - step
+        while lo >= _SAMPLE_HEAD and holds(lo):
+            hi, step = lo, 2 * step
+            lo = hi - step
+        lo = max(lo, _SAMPLE_HEAD - 1)  # no rank below the head qualifies
+    else:
+        lo = r
+        while not holds(hi := min(lo + step, _RANK_LIMIT)):
+            lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
         else:
-            oversized[int(idx)] = lo
-    if oversized:
-        out = ranks.astype(object)
-        for idx, r in oversized.items():
-            out[idx] = r
-        return out
-    return ranks
+            lo = mid
+    return hi
 
 
 def sample(family, seed, n: int, *, truncation: int | None = None) -> np.ndarray:
@@ -439,6 +499,12 @@ def sample(family, seed, n: int, *, truncation: int | None = None) -> np.ndarray
     partitions need a truncation; the table is then renormalized over it.
     For the Zipf-Mandelbrot family the returned rank r corresponds to
     support index r - 1.
+
+    Zeta, Zipf-Mandelbrot and log-length draws invert the first 2^16 ranks
+    by table and all later draws at once; the same u always gives the same
+    rank.  Ranks of 2^63 or more come back in an object array, and a draw
+    whose rank would exceed 2**1023 (the float range of the offset r + b)
+    raises ValueError naming alpha.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -523,6 +589,8 @@ def fit_mle(observed, family: str) -> FitResult:
     families use bracketed numerical search.  Needs at least two distinct
     observed ranks.
     """
+    from scipy import optimize  # imported here: it is most of `import optcoding`
+
     ranks, counts = _as_rank_counts(observed)
     if ranks.size < 2:
         raise ValueError("need at least 2 distinct observed ranks")

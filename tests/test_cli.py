@@ -133,6 +133,29 @@ class TestSimulate:
         assert res.stderr.strip().count("\n") == 0  # single-line diagnostic
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("lmin", ["0", "-1"])
+    def test_lmin_below_one_rejected_before_drawing(self, tmp_path, monkeypatch, capsys, lmin):
+        def no_words(*args):
+            raise AssertionError("words drawn")
+
+        monkeypatch.setattr(cli.randtype, "generate", no_words)
+        text_path = tmp_path / "typed.txt"
+        code = cli.main(["simulate", "--N", "3", "--ps", "0.3", "--words", "2000",
+                         "--seed", "5", "--lmin", lmin, "--text-out", str(text_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "--lmin" in err and err.count("\n") == 1
+        assert not text_path.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_lmin_zero_through_the_command(self, tmp_path):
+        text_path = tmp_path / "typed.txt"
+        res = run("simulate", "--N", "3", "--ps", "0.3", "--words", "2000",
+                  "--seed", "5", "--lmin", "0", "--text-out", str(text_path))
+        assert res.returncode == 3
+        assert "--lmin" in res.stderr and "Traceback" not in res.stderr
+        assert not text_path.exists()
+
     def test_bias_flag(self):
         out = run("simulate", "--N", "2", "--ps", "0.5", "--words", "200",
                   "--seed", "3", "--bias", "0.9,0.1")
@@ -212,6 +235,23 @@ class TestAnalyze:
         res = run("analyze", "--input", str(text), "--lmin", "0",
                   "--table-out", str(table_path))
         assert res.returncode == 3
+        assert "--lmin" in res.stderr and "Traceback" not in res.stderr
+        assert list(tmp_path.iterdir()) == [text]
+
+    @pytest.mark.parametrize("lmin", ["0", "-1"])
+    def test_lmin_below_one_rejected_before_reading(self, tmp_path, monkeypatch, capsys, lmin):
+        def no_text(*args):
+            raise AssertionError("corpus read")
+
+        monkeypatch.setattr(cli.corpus, "read_text", no_text)
+        text = tmp_path / "corpus.txt"
+        text.write_text("b a a\n")
+        table_path = tmp_path / "table.tsv"
+        code = cli.main(["analyze", "--input", str(text), "--lmin", lmin,
+                         "--table-out", str(table_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "--lmin" in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [text]
 
     def test_magnitude_sidecar(self, tmp_path):

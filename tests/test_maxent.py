@@ -1,6 +1,9 @@
 import math
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -33,6 +36,41 @@ from optcoding.maxent import (
 ZETA_15 = 2.61237534868548834334856756792
 ZETA_3 = 1.20205690315959428539973816151
 HURWITZ_25_03 = 21.0692392022477230269553583241
+
+
+def oracle_power_family_ranks(alpha, b, u):
+    """The per-draw inversion the vectorized tail replaced: doubling, then
+    integer bisection on hurwitz_zeta(alpha, r + b) <= (1 - u) Z, one draw
+    at a time.  A rank past 2**1023 ends in OverflowError from `hi + b`."""
+    head_size = maxent._SAMPLE_HEAD
+    z = hurwitz_zeta(alpha, b)
+    head = (np.arange(head_size) + b) ** -alpha
+    cdf = np.cumsum(head) / z
+    ranks = (np.searchsorted(cdf, u, side="left") + 1).astype(np.int64)
+    oversized = {}
+    for idx in np.flatnonzero(u > cdf[-1]):
+        target = (1.0 - u[idx]) * z
+        lo = head_size
+        hi = lo * 2
+        while hurwitz_zeta(alpha, hi + b) > target:
+            lo = hi
+            hi *= 2
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if hurwitz_zeta(alpha, mid + b) <= target:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo < 2**63:
+            ranks[idx] = lo
+        else:
+            oversized[int(idx)] = lo
+    if oversized:
+        out = ranks.astype(object)
+        for idx, r in oversized.items():
+            out[idx] = r
+        return out
+    return ranks
 
 
 class TestRiemannZeta:
@@ -356,11 +394,12 @@ class TestSampling:
         assert a.tolist() == b.tolist()
 
     def test_heavy_tail_goes_beyond_the_cached_table(self):
+        head_size = maxent._SAMPLE_HEAD
         ranks = sample(ZipfMandelbrotParams(1.5, 1.0), 13, 20_000)
-        assert (ranks > 4096).sum() > 50  # exercised the exact tail inversion
-        # empirical tail fraction matches the analytic tail probability
-        p_tail = hurwitz_zeta(1.5, 4097.0) / hurwitz_zeta(1.5, 1.0)
-        assert abs((ranks > 4096).mean() - p_tail) < 0.005
+        assert (ranks > head_size).sum() > 20  # exercised the tail inversion
+        # empirical tail fraction matches the analytic tail probability (4 sigma)
+        p_tail = hurwitz_zeta(1.5, head_size + 1.0) / hurwitz_zeta(1.5, 1.0)
+        assert abs((ranks > head_size).mean() - p_tail) < 0.0016
 
     def test_zipf_mandelbrot_rank_one_mass(self):
         params = ZipfMandelbrotParams(2.0, 0.5)
@@ -380,6 +419,128 @@ class TestSampling:
             sample(pmf, 1, 10)
         ranks = sample(pmf, 1, 1000, truncation=64)
         assert ranks.min() >= 1 and ranks.max() <= 64
+
+
+class TestTailInversion:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(1.02, 8.0, exclude_min=True),
+        b=st.floats(1e-6, 1e6),
+        u=st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0, exclude_max=True),
+                st.integers(1, 16).map(lambda k: 1.0 - 10.0**-k),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_ranks_equal_the_scalar_bisection(self, alpha, b, u):
+        u = np.array(u)
+        try:
+            want = oracle_power_family_ranks(alpha, b, u)
+        except OverflowError:
+            with pytest.raises(ValueError, match="2\\*\\*1023"):
+                maxent._power_family_ranks(alpha, b, u)
+            return
+        got = maxent._power_family_ranks(alpha, b, u)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+    def test_object_dtype_ranks_equal_the_scalar_bisection(self):
+        ranks = sample(ZetaParams(1.05), 11, 5000)
+        u = np.random.default_rng(11).random(5000)
+        want = oracle_power_family_ranks(1.05, 1.0, u)
+        assert ranks.dtype == want.dtype == object
+        assert max(ranks) >= 2**63
+        assert ranks.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("alpha,b", [(1.2, 2.0), (1.45, 0.5), (1.75, 1.0)])
+    def test_draw_just_past_the_table_can_settle_on_its_last_rank(self, alpha, b):
+        # The table's last CDF value rounds low here, so the next float u is
+        # a tail draw whose predicate already holds at rank 2^16.
+        head_size = maxent._SAMPLE_HEAD
+        cdf = np.cumsum((np.arange(head_size) + b) ** -alpha) / hurwitz_zeta(alpha, b)
+        u = np.array([np.nextafter(cdf[-1], 1.0)])
+        assert oracle_power_family_ranks(alpha, b, u).tolist() == [head_size]
+        assert maxent._power_family_ranks(alpha, b, u).tolist() == [head_size]
+        t = (1.0 - float(u[0])) * hurwitz_zeta(alpha, b)
+        for guess in (head_size + 1, head_size + 1000):  # galloping down past the table
+            assert maxent._settle_rank(alpha, b, t, guess) == head_size
+
+    @pytest.mark.parametrize(
+        "near", [2**63 - 2**40, 2**63 + 2**40, 3 * 2**1021, 3 * 2**1022],
+        ids=["below-2^63", "above-2^63", "below-2^1023", "above-2^1023"],
+    )
+    def test_ranks_at_the_dtype_and_float_limits(self, near):
+        alpha, b = 1.03, 1.0
+        z = hurwitz_zeta(alpha, b)
+        u = np.array([0.5, 1.0 - hurwitz_zeta(alpha, near + b) / z])
+        if near > maxent._RANK_LIMIT:
+            with pytest.raises(OverflowError):
+                oracle_power_family_ranks(alpha, b, u)
+            with pytest.raises(ValueError, match="alpha=1.03"):
+                maxent._power_family_ranks(alpha, b, u)
+            return
+        want = oracle_power_family_ranks(alpha, b, u)
+        got = maxent._power_family_ranks(alpha, b, u)
+        assert abs(want[1] / near - 1) < 1e-5
+        assert want.dtype == (object if near > 2**63 else np.int64)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+    def test_a_few_hurwitz_zeta_calls_per_tail_draw(self, monkeypatch):
+        calls = []
+        scalar = maxent.hurwitz_zeta
+
+        def counted(alpha, b):
+            calls.append(b)
+            return scalar(alpha, b)
+
+        monkeypatch.setattr(maxent, "hurwitz_zeta", counted)
+        ranks = sample(ZetaParams(1.05), 12, 2000)
+        n_tail = int(np.count_nonzero(ranks > maxent._SAMPLE_HEAD))
+        assert n_tail > 500
+        assert len(calls) < 3 * n_tail  # the per-draw bisection made about 73
+
+    @pytest.mark.parametrize("alpha,b", [(1.05, 1.0), (1.3, 1e-6), (2.0, 1e6)])
+    def test_settle_from_any_guess(self, alpha, b):
+        # From the head (the start when the empty-head check fails) or from
+        # a guess far off either side, the settle lands on the oracle's rank.
+        z = hurwitz_zeta(alpha, b)
+        p_tail = hurwitz_zeta(alpha, maxent._SAMPLE_HEAD + b) / z
+        u = 1.0 - p_tail * np.logspace(-0.5, -7.0, 8)
+        wanted = oracle_power_family_ranks(alpha, b, u)
+        for u_i, want in zip(u.tolist(), wanted.tolist()):
+            assert want > maxent._SAMPLE_HEAD
+            t = (1.0 - u_i) * z
+            for guess in (maxent._SAMPLE_HEAD, want - 1, want, want + 1,
+                          3 * want, want // 3, maxent._RANK_LIMIT):
+                assert maxent._settle_rank(alpha, b, t, guess) == want
+
+    @pytest.mark.parametrize(
+        "family", [ZetaParams(1.01), ZipfMandelbrotParams(1.01, 2.0)], ids=["zeta", "zm"]
+    )
+    def test_rank_past_the_float_range_raises_value_error(self, family):
+        with pytest.raises(ValueError, match="2\\*\\*1023.*alpha=1.01"):
+            sample(family, 4, 5000)
+
+
+class TestLazyOptimizeImport:
+    def test_import_leaves_scipy_optimize_out_until_a_fit(self):
+        script = (
+            "import sys\n"
+            "import optcoding\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "fit = optcoding.maxent.fit_mle({1: 70, 2: 20, 3: 10}, 'zeta')\n"
+            "assert 'scipy.optimize' in sys.modules\n"
+            "print(fit.params['alpha'])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert float(out.stdout) == fit_mle({1: 70, 2: 20, 3: 10}, "zeta").params["alpha"]
 
 
 class TestFitting:

@@ -29,6 +29,7 @@ __all__ = [
     "block_counts",
     "code_length_for_rank",
     "nth_string",
+    "string_digits",
     "rank_of_string",
     "ranks_of_strings",
     "check_table_size",
@@ -98,9 +99,9 @@ class CodeTable:
         codes = tuple(self.codes)
         if not codes:
             raise ValueError("code table must have at least one entry")
-        for c in codes:
-            if any(ch not in self.alphabet for ch in c):
-                raise ValueError(f"code {c!r} uses symbols outside the alphabet")
+        if not set("".join(codes)) <= set(self.alphabet.symbols):
+            c = next(c for c in codes if any(ch not in self.alphabet for ch in c))
+            raise ValueError(f"code {c!r} uses symbols outside the alphabet")
         object.__setattr__(self, "codes", codes)
 
     @property
@@ -248,6 +249,30 @@ def nth_string(alphabet: Alphabet, l_min: int, i: int) -> str:
     return "".join(reversed(digits))
 
 
+def string_digits(N: int, l_min: int, V: int) -> list[np.ndarray]:
+    """Symbol indices of the first V strings of length >= l_min over N symbols.
+
+    One (count, length) matrix per length block, lengths l_min, l_min + 1,
+    ... up to the longest used: row j of a block is the string at offset
+    j within it, as its base-N digits, most significant first, so rank i
+    of `nth_string` is row i - 1 - string_count_through_length(N, l_min,
+    length - 1) of its length's block.  Each block takes one `np.divmod`
+    over its offsets per significant digit; digits above those are 0.
+    """
+    blocks = []
+    dtype = np.min_scalar_type(N - 1)
+    for length, count in enumerate(block_counts(N, l_min, V), start=l_min):
+        digits = np.zeros((count, length), dtype=dtype)
+        rest = np.arange(count, dtype=np.int64)
+        place, col = 1, length
+        while place < count:  # offsets below `place` need no further digit
+            col -= 1
+            rest, digits[:, col] = np.divmod(rest, N)
+            place *= N
+        blocks.append(digits)
+    return blocks
+
+
 def ranks_of_strings(alphabet: Alphabet, l_min: int, strings) -> np.ndarray:
     """Enumeration rank of each string: the inverse of `nth_string`, as an array.
 
@@ -326,8 +351,13 @@ def optimal_nonsingular_code(
     """
     _require_l_min(l_min, allow_empty)
     check_table_size(alphabet.size, l_min, dist.size)
-    codes = tuple(nth_string(alphabet, l_min, i) for i in range(1, dist.size + 1))
-    return CodeTable(codes, alphabet)
+    points = np.array([ord(c) for c in alphabet.symbols], dtype=np.uint32)
+    codes: list[str] = []
+    for digits in string_digits(alphabet.size, l_min, dist.size):
+        count, length = digits.shape
+        text = points[digits].tobytes().decode("utf-32-le", "surrogatepass")
+        codes += [text[k * length:(k + 1) * length] for k in range(count)]
+    return CodeTable(tuple(codes), alphabet)
 
 
 def uniquely_decodable_lengths(dist: RankedDistribution, N: int) -> np.ndarray:

@@ -280,7 +280,7 @@ def rank_frequency_fit(
     """Fit rank-distribution families to the table and rank them by likelihood."""
     if table.size < 2:
         raise ValueError("rank-frequency fitting needs at least 2 types")
-    observed = {i + 1: int(f) for i, f in enumerate(table.frequencies.tolist())}
+    observed = maxent.RankCounts(np.arange(1, table.size + 1), table.frequencies)
     results = maxent.fit_ranked(observed, families)
     warning = None
     if table.size < SPARSE_FIT_THRESHOLD:

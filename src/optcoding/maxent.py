@@ -40,6 +40,7 @@ __all__ = [
     "entropy",
     "sample",
     "FitResult",
+    "RankCounts",
     "FAMILIES",
     "fit_mle",
     "fit_ranked",
@@ -565,33 +566,58 @@ class FitResult:
         }
 
 
-def _as_rank_counts(observed) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class RankCounts:
+    """Observed rank counts as two aligned arrays: `ranks` strictly increasing
+    and >= 1, `counts` >= 1.  The form every fit works on; `fit_mle` and
+    `fit_ranked` take it as it is, with no conversion or sort."""
+
+    ranks: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self):
+        ranks = np.array(self.ranks, dtype=np.int64, copy=True)
+        counts = np.array(self.counts, dtype=np.int64, copy=True)
+        if ranks.ndim != 1 or ranks.shape != counts.shape:
+            raise ValueError("ranks and counts must be aligned 1-D arrays")
+        if ranks.size == 0:
+            raise ValueError("no observations")
+        if np.any(ranks < 1):
+            raise ValueError("ranks must be >= 1")
+        if np.any(counts < 1):
+            raise ValueError("counts must be >= 1")
+        if np.any(ranks[:-1] >= ranks[1:]):
+            raise ValueError("ranks must be strictly increasing")
+        ranks.flags.writeable = False
+        counts.flags.writeable = False
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "counts", counts)
+
+
+def _as_rank_counts(observed) -> RankCounts:
+    if isinstance(observed, RankCounts):
+        return observed
     if isinstance(observed, Mapping):
         items = sorted(observed.items())
         ranks = np.array([r for r, _ in items], dtype=np.int64)
         counts = np.array([c for _, c in items], dtype=np.int64)
     else:
         ranks, counts = np.unique(np.asarray(observed, dtype=np.int64), return_counts=True)
-    if ranks.size == 0:
-        raise ValueError("no observations")
-    if np.any(ranks < 1):
-        raise ValueError("ranks must be >= 1")
-    if np.any(counts < 1):
-        raise ValueError("counts must be >= 1")
-    return ranks, counts
+    return RankCounts(ranks, counts)
 
 
 def fit_mle(observed, family: str) -> FitResult:
     """Maximum-likelihood parameters for "geometric", "zeta" or "zipf-mandelbrot".
 
-    `observed` is either a mapping rank -> count or a sequence of observed
-    ranks.  The geometric MLE is the closed form q = 1/mean; the power-law
+    `observed` is a mapping rank -> count, a sequence of observed ranks or
+    a `RankCounts`.  The geometric MLE is the closed form q = 1/mean; the power-law
     families use bracketed numerical search.  Needs at least two distinct
     observed ranks.
     """
     from scipy import optimize  # imported here: it is most of `import optcoding`
 
-    ranks, counts = _as_rank_counts(observed)
+    observed = _as_rank_counts(observed)
+    ranks, counts = observed.ranks, observed.counts
     if ranks.size < 2:
         raise ValueError("need at least 2 distinct observed ranks")
     n = int(counts.sum())
@@ -628,7 +654,7 @@ def fit_mle(observed, family: str) -> FitResult:
             a, b = theta
             return a * float(np.log(rf - 1.0 + b) @ cf) + n * _log_hurwitz_zeta(a, b)
 
-        start = fit_mle(dict(zip(ranks.tolist(), counts.tolist())), "zeta")
+        start = fit_mle(observed, "zeta")
         res = optimize.minimize(
             nll,
             x0=[start.params["alpha"], 1.0],
@@ -644,6 +670,10 @@ def fit_mle(observed, family: str) -> FitResult:
 
 
 def fit_ranked(observed, families) -> tuple[FitResult, ...]:
-    """Fit each family to `observed`, best log-likelihood first (stable on ties)."""
+    """Fit each family to `observed`, best log-likelihood first (stable on ties).
+
+    `observed` takes the forms `fit_mle` does and is converted to
+    `RankCounts` once for all the families."""
+    observed = _as_rank_counts(observed)
     fits = [fit_mle(observed, fam) for fam in families]
     return tuple(sorted(fits, key=lambda r: r.log_likelihood, reverse=True))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import string
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,6 +194,27 @@ def _shortest_in_order(N: int, l_min: int, lengths: np.ndarray) -> bool:
     )
 
 
+def _uses_every_string(N: int, l_min: int, top: int, blocks) -> bool:
+    """True iff `blocks` (as from `codebook.string_digits`) hold one digit
+    matrix per length l_min..top, their rows are distinct strings over N
+    symbols, and every length l below `top` has all N**l of its strings."""
+    if [digits.shape[1] for digits in blocks] != list(range(l_min, top + 1)):
+        return False
+    for digits in blocks:
+        count, length = digits.shape
+        if length < top and count != N**length:
+            return False
+        if np.any(digits < 0) or np.any(digits >= N):
+            return False
+        if count > 1:  # distinct: no two neighbours are equal once sorted
+            if length == 0:
+                return False
+            rows = digits[np.lexsort(digits.T[::-1])]
+            if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
+                return False
+    return True
+
+
 def verify_optimality(params: RandomTypingParams, i_max: int) -> OptimalityReport:
     """Check that random typing behaves as an optimal non-singular code.
 
@@ -210,8 +230,10 @@ def verify_optimality(params: RandomTypingParams, i_max: int) -> OptimalityRepor
     entries therefore count `codebook.block_counts(N, l_min, V)` copies of
     each length, so the check compares that closed form with the bincount
     of the lengths and never builds the pool, whose size grows as N**l.
-    Time and memory grow linearly with i_max, apart from the characters of
-    the string table itself (capped by `codebook.check_table_size`).
+    The strings are checked as the symbol-index rows of
+    `codebook.string_digits`, so the check runs for any N and forms no
+    `str`; the digit table holds one small integer per character, which
+    `codebook.check_table_size` caps.  Time grows as O(i_max log i_max).
     """
     _require_uniform(params)
     if i_max < 1:
@@ -241,18 +263,12 @@ def verify_optimality(params: RandomTypingParams, i_max: int) -> OptimalityRepor
     if not optimal:
         failures.append("length assignment violates the optimality conditions")
 
-    if N <= 26:
-        codebook.check_table_size(N, l_min, i_max)
-        alphabet = codebook.Alphabet.latin(N)
-        table = [codebook.nth_string(alphabet, l_min, i) for i in range(1, i_max + 1)]
-        per_length = Counter(map(len, table))
-        complete = len(set(table)) == len(table) and all(
-            per_length[length] == N**length  # complete blocks only
-            for length in range(l_min, int(lengths.max()))
-        )
-        checks["all_strings_of_used_lengths"] = complete
-        if not complete:
-            failures.append("some available strings of a used length are unused")
+    codebook.check_table_size(N, l_min, i_max)
+    blocks = codebook.string_digits(N, l_min, i_max)
+    complete = _uses_every_string(N, l_min, int(lengths.max()), blocks)
+    checks["all_strings_of_used_lengths"] = complete
+    if not complete:
+        failures.append("some available strings of a used length are unused")
 
     return OptimalityReport(i_max, checks, tuple(failures))
 

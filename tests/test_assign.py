@@ -49,6 +49,25 @@ def brute_pair_counts(p, l):
     return n_c, n_d
 
 
+def oracle_pair_counts(p, l):
+    """The group sweep pair_counts used before Knight's method: walk the
+    probability-tie groups in order, keeping per-magnitude counts of the
+    ranks seen so far.  O(groups x distinct magnitudes)."""
+    _, codes = np.unique(l, return_inverse=True)
+    n_bins = int(codes.max()) + 1
+    seen = np.zeros(n_bins, dtype=np.int64)
+    starts = np.flatnonzero(np.r_[True, p[:-1] > p[1:]])
+    ends = np.r_[starts[1:], p.size]
+    n_c = n_d = 0
+    for s, e in zip(starts, ends):
+        grp = np.bincount(codes[s:e], minlength=n_bins)
+        cum = np.cumsum(seen)
+        n_c += int(grp @ (cum[-1] - cum))  # seen before, magnitude strictly above
+        n_d += int(grp @ (cum - seen))  # seen before, strictly below
+        seen += grp
+    return n_c, n_d
+
+
 def counter_is_optimal(d, a, ms):
     """Reference for is_optimal: the explicit multiset comparison with Counters."""
     if len(a) != d.size:
@@ -215,6 +234,49 @@ class TestPairCounts:
         l = rng.choice(np.arange(1.0, 6.0), v)
         d = RankedDistribution(p)
         assert pair_counts(d, Assignment(l)) == brute_pair_counts(d.probs, l)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_probs=st.integers(1, 4),
+        n_mags=st.integers(1, 4),
+        v=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tie_heavy_inputs_match_the_oracles(self, n_probs, n_mags, v, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.choice(np.arange(1.0, 9.0), n_probs, replace=False)
+        d = RankedDistribution.from_weights(rng.choice(weights, v))
+        l = rng.choice(np.arange(1.0, 9.0), n_mags, replace=False)[rng.integers(0, n_mags, v)]
+        got = pair_counts(d, Assignment(l))
+        assert got == oracle_pair_counts(d.probs, l)
+        assert all(type(n) is int for n in got)
+        if v <= 60:
+            assert got == brute_pair_counts(d.probs, l)
+
+    @pytest.mark.parametrize("v", [1, 2, 3, 17, 64, 65, 300])
+    def test_all_tied(self, v):
+        d = RankedDistribution(np.full(v, 1.0 / v))
+        assert pair_counts(d, Assignment(np.arange(1.0, v + 1))) == (0, 0)
+        d = RankedDistribution.from_weights(np.arange(v, 0, -1.0))
+        assert pair_counts(d, Assignment(np.full(v, 3.0))) == (0, 0)
+
+    def test_one_and_two_ranks(self):
+        assert pair_counts(dist(1.0), asg(4)) == (0, 0)
+        assert pair_counts(dist(0.6, 0.4), asg(2, 1)) == (1, 0)
+        assert pair_counts(dist(0.6, 0.4), asg(1, 2)) == (0, 1)
+        assert pair_counts(dist(0.5, 0.5), asg(1, 2)) == (0, 0)
+        assert pair_counts(dist(0.6, 0.4), asg(2, 2)) == (0, 0)
+
+    @pytest.mark.parametrize("v", [2, 63, 64, 65, 1000, 4097])
+    def test_distinct_values_at_block_widths(self, v):
+        # sizes around powers of two, where the last merge block is partial
+        rng = np.random.default_rng(v)
+        d = RankedDistribution.from_weights(rng.permutation(v) + 1.0)
+        l = rng.random(v)
+        n_c, n_d = pair_counts(d, Assignment(l))
+        assert (n_c, n_d) == oracle_pair_counts(d.probs, l)
+        assert n_c + n_d == v * (v - 1) // 2
 
 
 class TestKendallTau:

@@ -22,6 +22,7 @@ from optcoding.codebook import (
     rank_of_string,
     segmentations,
     string_count_through_length,
+    string_digits,
     uniquely_decodable_lengths,
 )
 
@@ -83,6 +84,53 @@ class TestEnumeration:
                 for i in range(1, 200):
                     s = nth_string(alphabet, l_min, i)
                     assert rank_of_string(alphabet, l_min, s) == i
+
+
+class TestStringDigits:
+    @pytest.mark.parametrize("n", [1, 2, 3, 26])
+    @pytest.mark.parametrize("l_min", [0, 1, 2])
+    def test_every_rank_matches_nth_string(self, n, l_min):
+        # some full blocks and two ranks into the next one
+        full = {1: 40, 26: 2}.get(n, 3)
+        v = string_count_through_length(n, l_min, l_min + full - 1) + 2
+        alphabet = Alphabet.latin(n)
+        blocks = string_digits(n, l_min, v)
+        assert [d.shape[1] for d in blocks] == list(range(l_min, l_min + len(blocks)))
+        assert sum(d.shape[0] for d in blocks) == v
+        got = ["".join(alphabet.symbols[k] for k in row) for d in blocks for row in d.tolist()]
+        assert got == [nth_string(alphabet, l_min, i) for i in range(1, v + 1)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 5), l_min=st.integers(0, 3), v=st.integers(1, 400))
+    def test_block_edges(self, n, l_min, v):
+        blocks = string_digits(n, l_min, v)
+        alphabet = Alphabet.latin(n)
+        start = 1
+        for d in blocks:
+            for i in {start, start + d.shape[0] - 1}:  # first and last rank of the block
+                row = d[i - start].tolist()
+                assert "".join(alphabet.symbols[k] for k in row) == nth_string(alphabet, l_min, i)
+            start += d.shape[0]
+
+    def test_long_strings_have_leading_zero_digits(self):
+        # offsets stay small even where N**length is far past int64
+        (block,) = string_digits(26, 20, 3)
+        assert block.shape == (3, 20)
+        assert block[:, :19].max() == 0 and block[:, 19].tolist() == [0, 1, 2]
+
+    def test_tables_share_the_helper(self):
+        # symbols that are awkward as text: NUL, a lone surrogate, a non-BMP character
+        alphabet = Alphabet(("\x00", "\ud800", "\U0001f600", "z"))
+        for l_min in (0, 1, 2):
+            table = optimal_nonsingular_code(uniform(100), alphabet, l_min, allow_empty=True)
+            assert table.codes == tuple(nth_string(alphabet, l_min, i) for i in range(1, 101))
+
+    def test_codes_never_call_nth_string(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("nth_string called")
+
+        monkeypatch.setattr("optcoding.codebook.nth_string", refuse)
+        assert optimal_nonsingular_code(UNIFORM6, AB, 1).codes[-1] == "bb"
 
 
 class TestLengthForRank:

@@ -23,7 +23,7 @@ from optcoding.corpus import (
     table_from_tokens,
     tokenize,
 )
-from optcoding.maxent import GeometricParams, ZetaParams, sample
+from optcoding.maxent import FAMILIES, GeometricParams, ZetaParams, fit_mle, sample
 
 AB = Alphabet.from_string("ab")
 LATIN = Alphabet.latin(26)
@@ -380,6 +380,18 @@ class TestRankFrequencyFit:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             rank_frequency_fit(table_from_tokens(["a"]))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.integers(1, 5000), min_size=2, max_size=40))
+    def test_fits_equal_separate_fits_on_the_rank_counts(self, freqs):
+        freqs = sorted(freqs, reverse=True)
+        table = FrequencyTable(
+            tuple(f"t{k}" for k in range(len(freqs))), freqs, [1.0] * len(freqs), sum(freqs)
+        )
+        observed = dict(enumerate(freqs, start=1))
+        separate = sorted((fit_mle(observed, f) for f in FAMILIES),
+                          key=lambda r: r.log_likelihood, reverse=True)
+        assert list(rank_frequency_fit(table).results) == separate
 
 
 class TestAnalyze:

@@ -19,10 +19,12 @@ from optcoding.maxent import (
     LinearLength,
     LogLength,
     MaxentSpec,
+    RankCounts,
     ZetaParams,
     ZipfMandelbrotParams,
     entropy,
     fit_mle,
+    fit_ranked,
     geometric_pmf,
     hurwitz_zeta,
     maxent_pmf,
@@ -571,6 +573,34 @@ class TestFitting:
         fits = {f: fit_mle(observed, f).log_likelihood for f in maxent.FAMILIES}
         assert all(ll <= 0.0 for ll in fits.values()), fits
         assert fits["zipf-mandelbrot"] >= fits["zeta"] - 1e-9 * abs(fits["zeta"]), fits
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.dictionaries(st.integers(1, 500), st.integers(1, 3000), min_size=2, max_size=12))
+    def test_ranked_fits_equal_separate_fits(self, observed):
+        # fit_ranked converts once and fits every family on the same arrays;
+        # each result must equal, bit for bit, a fit_mle call on the mapping
+        separate = sorted((fit_mle(observed, f) for f in maxent.FAMILIES),
+                          key=lambda r: r.log_likelihood, reverse=True)
+        assert list(fit_ranked(observed, maxent.FAMILIES)) == separate
+        counts = RankCounts(sorted(observed), [observed[r] for r in sorted(observed)])
+        assert list(fit_ranked(counts, maxent.FAMILIES)) == separate
+
+    def test_rank_counts_validation(self):
+        counts = RankCounts([2, 5, 9], [4, 1, 1])
+        assert fit_mle(counts, "zeta") == fit_mle({9: 1, 2: 4, 5: 1}, "zeta")
+        assert fit_mle(counts, "geometric") == fit_mle([2, 2, 5, 2, 9, 2], "geometric")
+        with pytest.raises(ValueError):
+            counts.ranks[0] = 1  # read-only
+        for ranks, cnts, message in [
+            ([], [], "no observations"),
+            ([0, 1], [1, 1], "ranks must be >= 1"),
+            ([1, 2], [1, 0], "counts must be >= 1"),
+            ([2, 1], [1, 1], "strictly increasing"),
+            ([1, 1], [1, 1], "strictly increasing"),
+            ([1, 2], [1], "aligned"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                RankCounts(ranks, cnts)
 
     def test_accepts_rank_count_mapping(self):
         fit = fit_mle({1: 70, 2: 20, 3: 10}, "geometric")

@@ -299,6 +299,46 @@ class TestVerifyOptimality:
                              text=True, check=True)
         assert int(out.stdout) < 300
 
+    @pytest.mark.parametrize("n", [1, 30, 64])
+    def test_every_alphabet_size_reports_all_four_checks(self, n):
+        for l_min in (0, 1, 2):
+            report = verify_optimality(RandomTypingParams(n, 0.3, l_min), 200 if n == 1 else 5000)
+            assert len(report.checks) == 4 and report.passed, (l_min, report)
+
+    def test_never_builds_strings(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("nth_string called")
+
+        monkeypatch.setattr("optcoding.codebook.nth_string", refuse)
+        assert verify_optimality(MILLER, 2000).passed
+
+    @pytest.mark.parametrize("corrupt", ["duplicate", "drop", "foreign", "no block", "reorder"])
+    def test_corrupted_digit_table(self, monkeypatch, corrupt):
+        from optcoding import codebook
+
+        real = codebook.string_digits
+
+        def corrupted(N, l_min, V):
+            blocks = real(N, l_min, V)
+            d = blocks[1]  # the complete block of the two-letter strings
+            if corrupt == "duplicate":
+                d[5] = d[4]
+            elif corrupt == "drop":
+                blocks[1] = np.delete(d, 5, axis=0)
+            elif corrupt == "foreign":
+                d[5, 0] = N
+            elif corrupt == "no block":
+                del blocks[1]
+            else:  # a permutation of the block still holds every string
+                blocks[1] = d[::-1]
+            return blocks
+
+        monkeypatch.setattr(codebook, "string_digits", corrupted)
+        report = verify_optimality(RandomTypingParams(3, 0.3, 1), 30)
+        assert report.checks["all_strings_of_used_lengths"] == (corrupt == "reorder")
+        assert report.checks["assignment_optimal"]
+        assert report.passed == (corrupt == "reorder")
+
     def test_report_is_structured(self):
         report = verify_optimality(BINARY, 20)
         assert set(report.checks) == {

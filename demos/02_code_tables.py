@@ -15,7 +15,10 @@ ab = oc.Alphabet.from_string("ab")
 
 table = oc.optimal_nonsingular_code(uniform6, ab)
 print("optimal non-singular table (V = 6, alphabet {a, b}):")
-print(table.to_tsv())
+print("rank\tcode")
+for rank, code in table.items():
+    print(f"{rank}\t{code}")
+print()
 print("mean code length:", round(oc.mean_code_length(table, uniform6), 4), "(= 5/3)")
 
 print("length of the i-th string, i = 1..14:",

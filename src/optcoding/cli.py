@@ -24,6 +24,10 @@ EXIT_IO = 4
 
 _SEP = {"tsv": "\t", "csv": ","}
 
+# Most rows of `lengths` and `figure` and most words of `simulate`: about
+# 0.2 GB per million, so more is a domain error, not an out-of-memory kill.
+MAX_SIZE = 10**7
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # single-line diagnostic, exit 2
@@ -53,12 +57,28 @@ def _write_output(text: str, path: str | None) -> None:
 def _table_text(header: tuple[str, ...], columns, fmt: str) -> str:
     """The header line, then one line per row; `columns` hold the cells."""
     sep = _SEP[fmt]
-    rows = zip(*(map(str, column) for column in columns))
-    return "\n".join([sep.join(header), *map(sep.join, rows)]) + "\n"
+    line = sep.join(["%s"] * len(header))  # %s is str(): shortest round-trip floats
+    return "\n".join([sep.join(header), *map(line.__mod__, zip(*columns))]) + "\n"
 
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _fit_json(fit: maxent.FitResult) -> dict:
+    return {
+        "schema": "fit/1",
+        "family": fit.family,
+        "params": dict(fit.params),
+        "log_likelihood": fit.log_likelihood,
+        "n": fit.n,
+        "support": list(fit.support),
+    }
+
+
+def _check_size(flag: str, value: int) -> None:
+    if not 1 <= value <= MAX_SIZE:
+        raise ValueError(f"{flag} must be in 1..{MAX_SIZE}, got {value}")
 
 
 def _cmd_codes(args) -> str:
@@ -71,20 +91,24 @@ def _cmd_codes(args) -> str:
         dist, alphabet, args.lmin, allow_empty=args.allow_empty
     )
     if args.format == "json":
-        return table.to_json()
+        return _json_text({
+            "schema": "codes/1",
+            "alphabet": list(alphabet.symbols),
+            "codes": list(table.codes),
+        })
     ranks = range(1, table.size + 1)
     return _table_text(("rank", "code"), (ranks, table.codes), args.format)
 
 
 def _cmd_lengths(args) -> str:
-    if args.imax < 1:
-        raise ValueError("--imax must be >= 1")
+    _check_size("--imax", args.imax)
     ranks = np.arange(1, args.imax + 1)
     lengths = codebook.code_length_for_rank(args.N, args.lmin, ranks)
     return _table_text(("i", "l_i"), (ranks.tolist(), lengths.tolist()), args.format)
 
 
 def _cmd_figure(args) -> str:
+    _check_size("--imax", args.imax)
     params = randtype.RandomTypingParams(args.N, args.ps, args.lmin)
     ranks, probs = randtype.figure2_data(params, args.imax)
     # One value per length block: format each distinct probability once.
@@ -103,6 +127,7 @@ def _check_recoding_lmin(lmin: int) -> None:
 
 def _cmd_simulate(args) -> str:
     _check_recoding_lmin(args.lmin)
+    _check_size("--words", args.words)
     bias = None
     if args.bias is not None:
         bias = np.array([float(x) for x in args.bias.split(",")])
@@ -161,10 +186,8 @@ def _cmd_fit(args) -> str:
     families = maxent.FAMILIES if args.family == "all" else (args.family,)
     results = maxent.fit_ranked(observed, families)
     if len(results) == 1:
-        return _json_text(results[0].to_json_dict())
-    return _json_text(
-        {"schema": "fit/1", "results": [r.to_json_dict() for r in results]}
-    )
+        return _json_text(_fit_json(results[0]))
+    return _json_text({"schema": "fit/1", "results": [_fit_json(r) for r in results]})
 
 
 def _cmd_analyze(args) -> str:
@@ -184,8 +207,22 @@ def _cmd_analyze(args) -> str:
         table, codebook.Alphabet.from_string(args.alphabet), args.lmin
     )
     if args.table_out is not None:
-        _write_output(table.to_tsv(), args.table_out)
-    return report.to_json()
+        columns = (table.types, table.frequencies.tolist(), table.magnitudes.tolist())
+        tsv = _table_text(("type", "frequency", "magnitude"), columns, "tsv")
+        _write_output(tsv, args.table_out)
+    return _json_text({
+        "schema": "analysis/1",
+        "tau": report.tau,
+        "n_c": report.n_c,
+        "n_d": report.n_d,
+        "z_score": report.z_score,
+        "note": corpus.ABBREVIATION_NOTE,
+        "l_actual": report.l_actual,
+        "l_optimal": report.l_optimal,
+        "efficiency_ratio": report.efficiency_ratio,
+        "fits": [_fit_json(f) for f in report.fits],
+        "fit_warning": report.fit_warning,
+    })
 
 
 def _cmd_oracle(args) -> str:
@@ -239,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lengths", help="length of the i-th string, i = 1..imax")
     p.add_argument("--N", type=int, required=True, help="alphabet size")
     p.add_argument("--lmin", type=int, default=1)
-    p.add_argument("--imax", type=int, required=True)
+    p.add_argument("--imax", type=int, required=True, help=f"largest rank, at most {MAX_SIZE}")
     p.add_argument("--format", choices=("tsv", "csv"), default="tsv")
     p.add_argument("--output")
     p.set_defaults(run=_cmd_lengths)
@@ -248,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--ps", type=float, required=True, help="stop probability in (0,1)")
     p.add_argument("--lmin", type=int, default=1)
-    p.add_argument("--imax", type=int, required=True)
+    p.add_argument("--imax", type=int, required=True, help=f"largest rank, at most {MAX_SIZE}")
     p.add_argument("--format", choices=("csv", "tsv"), default="csv")
     p.add_argument("--output")
     p.set_defaults(run=_cmd_figure)
@@ -257,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--ps", type=float, required=True)
     p.add_argument("--lmin", type=int, default=1)
-    p.add_argument("--words", type=int, required=True)
+    p.add_argument("--words", type=int, required=True, help=f"at most {MAX_SIZE}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bias", help="comma-separated letter probabilities (length N)")
     p.add_argument("--text-out", help="also write the generated corpus here")

@@ -11,7 +11,6 @@ with the Sardinas-Patterson procedure.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,21 +121,6 @@ class CodeTable:
     def items(self):
         """(rank, code) pairs in rank order."""
         return list(enumerate(self.codes, start=1))
-
-    def to_tsv(self) -> str:
-        lines = ["rank\tcode"]
-        lines += [f"{rank}\t{code}" for rank, code in self.items()]
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "codes/1",
-            "alphabet": list(self.alphabet.symbols),
-            "codes": list(self.codes),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ non-singular code to compare actual versus minimal mean length.
 
 from __future__ import annotations
 
-import json
 import math
 import unicodedata
 from collections import Counter
@@ -93,12 +92,6 @@ class FrequencyTable:
 
     def ranked_distribution(self) -> assign.RankedDistribution:
         return assign.RankedDistribution(self.probabilities())
-
-    def to_tsv(self) -> str:
-        lines = ["type\tfrequency\tmagnitude"]
-        for t, f, m in zip(self.types, self.frequencies.tolist(), self.magnitudes.tolist()):
-            lines.append(f"{t}\t{f}\t{m!r}")
-        return "\n".join(lines) + "\n"
 
 
 def tokenize(text: str, *, lowercase: bool = False, strip_punctuation: bool = True) -> list[str]:
@@ -307,24 +300,6 @@ class AnalysisReport:
     @property
     def efficiency_ratio(self) -> float:
         return self.l_optimal / self.l_actual
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "analysis/1",
-            "tau": self.tau,
-            "n_c": self.n_c,
-            "n_d": self.n_d,
-            "z_score": self.z_score,
-            "note": ABBREVIATION_NOTE,
-            "l_actual": self.l_actual,
-            "l_optimal": self.l_optimal,
-            "efficiency_ratio": self.efficiency_ratio,
-            "fits": [f.to_json_dict() for f in self.fits],
-            "fit_warning": self.fit_warning,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
 def analyze(

@@ -555,29 +555,19 @@ class FitResult:
     n: int
     support: tuple[int, int]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "fit/1",
-            "family": self.family,
-            "params": dict(self.params),
-            "log_likelihood": self.log_likelihood,
-            "n": self.n,
-            "support": list(self.support),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class RankCounts:
-    """Observed rank counts as two aligned arrays: `ranks` strictly increasing
-    and >= 1, `counts` >= 1.  The form every fit works on; `fit_mle` and
-    `fit_ranked` take it as it is, with no conversion or sort."""
+    """Observed rank counts as aligned int64 arrays: `ranks` strictly increasing
+    and >= 1, `counts` >= 1 and summing within int64.  Every fit works on this
+    form; `fit_mle` and `fit_ranked` take it with no conversion or sort."""
 
     ranks: np.ndarray
     counts: np.ndarray
 
     def __post_init__(self):
-        ranks = np.array(self.ranks, dtype=np.int64, copy=True)
-        counts = np.array(self.counts, dtype=np.int64, copy=True)
+        ranks = _int64_array(self.ranks, "ranks")
+        counts = _int64_array(self.counts, "counts")
         if ranks.ndim != 1 or ranks.shape != counts.shape:
             raise ValueError("ranks and counts must be aligned 1-D arrays")
         if ranks.size == 0:
@@ -588,10 +578,19 @@ class RankCounts:
             raise ValueError("counts must be >= 1")
         if np.any(ranks[:-1] >= ranks[1:]):
             raise ValueError("ranks must be strictly increasing")
+        if sum(counts.tolist()) > np.iinfo(np.int64).max:
+            raise ValueError("the total count must fit in int64")
         ranks.flags.writeable = False
         counts.flags.writeable = False
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "counts", counts)
+
+
+def _int64_array(values, what: str) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{what} must fit in int64") from None
 
 
 def _as_rank_counts(observed) -> RankCounts:
@@ -599,11 +598,8 @@ def _as_rank_counts(observed) -> RankCounts:
         return observed
     if isinstance(observed, Mapping):
         items = sorted(observed.items())
-        ranks = np.array([r for r, _ in items], dtype=np.int64)
-        counts = np.array([c for _, c in items], dtype=np.int64)
-    else:
-        ranks, counts = np.unique(np.asarray(observed, dtype=np.int64), return_counts=True)
-    return RankCounts(ranks, counts)
+        return RankCounts([r for r, _ in items], [c for _, c in items])
+    return RankCounts(*np.unique(_int64_array(observed, "ranks"), return_counts=True))
 
 
 def fit_mle(observed, family: str) -> FitResult:

@@ -109,6 +109,11 @@ def rank_probabilities(params: RandomTypingParams, i_max: int) -> np.ndarray:
     return scale * ((1.0 - params.p_s) / params.N) ** lengths
 
 
+def _log_probability_ratios(params: RandomTypingParams, lengths: np.ndarray) -> np.ndarray:
+    """log(p_i / p_1) of the rank law at the given code lengths."""
+    return (lengths - params.l_min) * (math.log1p(-params.p_s) - math.log(params.N))
+
+
 @dataclass(frozen=True)
 class AbbreviationLaw:
     """Linear law length = a * log(probability) + b_const, with a < 0.
@@ -222,7 +227,8 @@ def verify_optimality(params: RandomTypingParams, i_max: int) -> OptimalityRepor
     length are equally probable; probability never increases with rank and
     drops strictly across length boundaries; the induced lengths are
     optimal; and every complete length block uses all of its N**l distinct
-    strings.
+    strings.  The probability checks compare log(p_i / p_1): finite where
+    p_i underflows, and free of log(p_1), whose rounding can hide a step.
 
     Optimal means the lengths are the V = i_max smallest of the pool of all
     string lengths, in nondecreasing order.  The pool, sorted, is the block
@@ -239,16 +245,16 @@ def verify_optimality(params: RandomTypingParams, i_max: int) -> OptimalityRepor
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
     N, l_min = params.N, params.l_min
-    probs = rank_probabilities(params, i_max)
     lengths = codebook.code_length_for_rank(N, l_min, np.arange(1, i_max + 1))
+    log_ratios = _log_probability_ratios(params, lengths)
     failures = []
     checks = {}
 
     order = np.argsort(lengths, kind="stable")
-    l_sorted, p_sorted = lengths[order], probs[order]
+    l_sorted, r_sorted = lengths[order], log_ratios[order]
     tied = l_sorted[1:] == l_sorted[:-1]
-    same = bool(np.all(p_sorted[1:][tied] == p_sorted[:-1][tied]))
-    steps = np.diff(probs)
+    same = bool(np.all(r_sorted[1:][tied] == r_sorted[:-1][tied]))
+    steps = np.diff(log_ratios)
     boundary = np.flatnonzero(np.diff(lengths) > 0)
     decreasing = not (np.any(steps > 0) or np.any(steps[boundary] >= 0))
     checks["equal_length_equiprobable"] = same

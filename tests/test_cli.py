@@ -208,6 +208,33 @@ class TestFit:
     def test_missing_file_is_io_error(self):
         assert run("fit", "--input", "/nonexistent/x.tsv").returncode == 4
 
+    @pytest.mark.parametrize("rows, message", [
+        ("9223372036854775808\t3\n2\t5\n", "ranks must fit in int64"),
+        ("1\t9223372036854775808\n2\t5\n", "counts must fit in int64"),
+        # each count fits in int64, their sum does not
+        ("1\t5000000000000000000\n2\t5000000000000000000\n",
+         "the total count must fit in int64"),
+    ])
+    @pytest.mark.parametrize("family", ["all", "geometric", "zeta"])
+    def test_past_int64_is_a_domain_error(self, tmp_path, capsys, rows, message, family):
+        data = tmp_path / "counts.tsv"
+        data.write_text(rows)
+        target = tmp_path / "fit.json"
+        code = cli.main(["fit", "--input", str(data), "--family", family,
+                         "--output", str(target)])
+        assert code == 3
+        assert capsys.readouterr() == ("", f"optcoding: error: {message}\n")
+        assert not target.exists()
+
+    def test_total_past_int64_through_the_command(self, tmp_path):
+        # once printed "n": -8446744073709551616 and exited 0
+        data = tmp_path / "counts.tsv"
+        data.write_text("1\t5000000000000000000\n2\t5000000000000000000\n")
+        res = run("fit", "--input", str(data), "--family", "zeta")
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr == "optcoding: error: the total count must fit in int64\n"
+
 
 class TestAnalyze:
     def test_end_to_end(self, tmp_path):
@@ -269,6 +296,52 @@ class TestAnalyze:
         res = run("analyze", "--input", str(bad))
         assert res.returncode == 3  # ValueError with offset from the reader
         assert "offset" in res.stderr
+
+
+class TestSizeCap:
+    @pytest.mark.parametrize("argv, stage", [
+        (["lengths", "--N", "2", "--imax", "1000000000000"], "codebook.code_length_for_rank"),
+        (["figure", "--N", "2", "--ps", "0.3", "--imax", "1000000000000"],
+         "randtype.figure2_data"),
+        (["simulate", "--N", "2", "--ps", "0.3", "--words", "100000000000",
+          "--text-out", "typed.txt"], "randtype.generate"),
+    ])
+    def test_refused_before_any_array(self, tmp_path, monkeypatch, capsys, argv, stage):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{stage} called")
+
+        module, name = stage.split(".")
+        monkeypatch.setattr(getattr(cli, module), name, refuse)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*argv, "--output", "out.txt"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and str(cli.MAX_SIZE) in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_through_the_command(self, tmp_path):
+        target = tmp_path / "fig.csv"
+        res = run("figure", "--N", "2", "--ps", "0.3", "--imax", "1000000000000",
+                  "--output", str(target))
+        assert res.returncode == 3
+        assert res.stderr == "optcoding: error: --imax must be in 1..10000000, got 1000000000000\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["lengths", "--N", "2", "--imax"],
+        ["figure", "--N", "2", "--ps", "0.3", "--imax"],
+        ["simulate", "--N", "2", "--ps", "0.3", "--words"],
+    ])
+    def test_cap_is_inclusive(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(cli, "MAX_SIZE", 5)
+        assert cli.main([*argv, "5"]) == 0
+        capsys.readouterr()
+        assert cli.main([*argv, "6"]) == 3
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_help_states_the_cap(self):
+        for command in ("lengths", "figure", "simulate"):
+            assert f"at most {cli.MAX_SIZE}" in run(command, "--help").stdout
 
 
 class TestOracle:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optcoding import cli
 from optcoding.assign import RankedDistribution
 from optcoding.codebook import (
     Alphabet,
@@ -413,13 +414,9 @@ class TestMeanCodeLength:
 
 
 class TestSerialization:
-    def test_tsv_layout(self):
-        table = optimal_nonsingular_code(uniform(3), AB, 1)
-        assert table.to_tsv() == "rank\tcode\n1\ta\n2\tb\n3\taa\n"
-
-    def test_json_carries_alphabet(self):
-        table = optimal_nonsingular_code(uniform(2), ABC, 1)
-        payload = json.loads(table.to_json())
+    def test_json_carries_alphabet(self, capsys):
+        assert cli.main(["codes", "--alphabet", "abc", "--ranks", "2", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload == {
             "schema": "codes/1",
             "alphabet": ["a", "b", "c"],

@@ -8,6 +8,7 @@ import regex
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optcoding import cli
 from optcoding.assign import Assignment, kendall_tau
 from optcoding.codebook import Alphabet, code_length_for_rank, mean_code_length
 from optcoding.corpus import (
@@ -395,17 +396,19 @@ class TestRankFrequencyFit:
 
 
 class TestAnalyze:
-    def test_report_fields_and_json(self):
+    def test_report_fields_and_json(self, tmp_path, capsys):
         table = build_table("a a a a bb bb cc ddd")
         report = analyze(table, AB, 1)
         assert report.l_optimal <= report.l_actual
         assert 0 < report.efficiency_ratio <= 1
-        payload = report.to_json_dict()
+        text = tmp_path / "corpus.txt"
+        text.write_text("a a a a bb bb cc ddd\n")
+        assert cli.main(["analyze", "--input", str(text), "--alphabet", "ab"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "analysis/1"
         assert payload["tau"] == report.tau
         assert len(payload["fits"]) == 3
-        parsed = json.loads(report.to_json())
-        assert parsed["l_actual"] == report.l_actual
+        assert payload["l_actual"] == report.l_actual
 
     def test_analysis_matches_components(self):
         table = zeta_token_table(2.0, 33, 2000)

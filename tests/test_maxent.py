@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optcoding import maxent
+from optcoding import cli, maxent
 from optcoding.maxent import (
     CodeLength,
     EntropyValue,
@@ -602,6 +603,28 @@ class TestFitting:
             with pytest.raises(ValueError, match=message):
                 RankCounts(ranks, cnts)
 
+    @pytest.mark.parametrize("observed, message", [
+        ({2**63: 1, 1: 2}, "ranks must fit in int64"),
+        ({1: 2**63, 2: 1}, "counts must fit in int64"),
+        ({1: 5 * 10**18, 2: 5 * 10**18}, "the total count must fit in int64"),
+    ])
+    def test_int64_overflow_is_a_value_error(self, observed, message):
+        # each count of the last case fits in int64, their sum does not
+        items = sorted(observed.items())
+        with pytest.raises(ValueError, match=message):
+            RankCounts([r for r, _ in items], [c for _, c in items])
+        for family in maxent.FAMILIES:
+            with pytest.raises(ValueError, match=message):
+                fit_mle(observed, family)
+        if message.startswith("ranks"):
+            with pytest.raises(ValueError, match=message):
+                fit_mle([2**63, 1, 1], "zeta")
+
+    def test_largest_int64_total_is_accepted(self):
+        top = np.iinfo(np.int64).max
+        counts = RankCounts([1, 2], [top - 1, 1])
+        assert int(counts.counts.sum()) == top
+
     def test_accepts_rank_count_mapping(self):
         fit = fit_mle({1: 70, 2: 20, 3: 10}, "geometric")
         assert fit.n == 100
@@ -624,9 +647,11 @@ class TestFitting:
         with pytest.raises(ValueError):
             fit_mle({1: 2, 2: 1}, "lognormal")
 
-    def test_json_payload(self):
-        fit = fit_mle({1: 70, 2: 20, 3: 10}, "geometric")
-        payload = fit.to_json_dict()
+    def test_json_payload(self, tmp_path, capsys):
+        data = tmp_path / "counts.tsv"
+        data.write_text("1\t70\n2\t20\n3\t10\n")
+        assert cli.main(["fit", "--input", str(data), "--family", "geometric"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "fit/1"
         assert set(payload) == {"schema", "family", "params", "log_likelihood", "n", "support"}
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optcoding import randtype
 from optcoding.assign import Assignment, RankedDistribution, kendall_tau, pair_counts
 from optcoding.codebook import (
     Alphabet,
@@ -304,6 +305,53 @@ class TestVerifyOptimality:
         for l_min in (0, 1, 2):
             report = verify_optimality(RandomTypingParams(n, 0.3, l_min), 200 if n == 1 else 5000)
             assert len(report.checks) == 4 and report.passed, (l_min, report)
+
+    @pytest.mark.parametrize("i_max", [3000, 4000, 14000])
+    def test_unary_law_past_float_underflow(self, i_max):
+        # 0.82**l is subnormal near l = 3,745 and 0.0 beyond; 14000 is below
+        # the unary table's size cap of 14142 ranks
+        report = verify_optimality(RandomTypingParams(1, 0.18), i_max)
+        assert report.passed, report.failures
+
+    @pytest.mark.parametrize("p_s", [1e-17, 1e-15, 1 - 1e-12])
+    def test_unary_law_at_extreme_stop_probabilities(self, p_s):
+        # 1 - 1e-17 rounds to 1.0; 1e-12**l underflows after a few dozen letters
+        report = verify_optimality(RandomTypingParams(1, p_s), 200)
+        assert report.passed, report.failures
+
+    @pytest.mark.parametrize("params, i_max", [
+        (RandomTypingParams(1, 0.18), 14000),
+        (RandomTypingParams(3, 0.4, 0), 5000),
+        (MILLER, 20000),
+    ])
+    def test_log_ratios_give_the_rank_law(self, params, i_max):
+        probs = rank_probabilities(params, i_max)
+        lengths = code_length_for_rank(params.N, params.l_min, np.arange(1, i_max + 1))
+        log_ratios = randtype._log_probability_ratios(params, lengths)
+        assert np.all(np.isfinite(log_ratios)) and log_ratios[0] == 0.0
+        law = np.exp(math.log(probs[0]) + log_ratios)
+        normal = probs >= np.finfo(float).tiny
+        assert normal.sum() >= min(i_max, 3000)
+        np.testing.assert_allclose(law[normal], probs[normal], rtol=1e-12, atol=0)
+
+    def test_injected_fault_fails_both_probability_checks(self, monkeypatch):
+        real = randtype._log_probability_ratios
+
+        def swapped(params, lengths):
+            faulty = lengths.copy()
+            faulty[[0, -1]] = faulty[[-1, 0]]  # no longer nondecreasing
+            return real(params, faulty)
+
+        monkeypatch.setattr(randtype, "_log_probability_ratios", swapped)
+        report = verify_optimality(BINARY, 30)
+        assert not report.checks["equal_length_equiprobable"]
+        assert not report.checks["probability_nonincreasing"]
+        assert report.checks["assignment_optimal"]
+        assert report.checks["all_strings_of_used_lengths"]
+        assert report.failures == (
+            "words of equal length are not equally probable",
+            "rank probabilities do not decrease stepwise",
+        )
 
     def test_never_builds_strings(self, monkeypatch):
         def refuse(*args):

@@ -28,14 +28,14 @@ spectrum = oc.frequency_spectrum(table)
 print("\nfrequency spectrum (occurrences -> number of types):", spectrum)
 
 report = oc.analyze(table, oc.Alphabet.latin(26), 1)
-print(f"\nmean length now {report.l_actual:.4f}; after optimal recoding "
-      f"{report.l_optimal:.4f}; efficiency ratio {report.efficiency_ratio:.4f}")
+recoding = report.recoding
+print(f"\nmean length now {recoding.l_actual:.4f}; after optimal recoding "
+      f"{recoding.l_optimal:.4f}; efficiency ratio {recoding.efficiency_ratio:.4f}")
 print("best-fitting rank distribution:", report.fits[0].family,
       {k: round(v, 3) for k, v in report.fits[0].params.items()})
 if report.fit_warning:
     print("warning:", report.fit_warning)
 
-recoded = oc.optimal_recoding(table, oc.Alphabet.latin(26), 1)
 print("\nrecoded vocabulary (top 6):")
-for rank, code in recoded.code_table.items()[:6]:
+for rank, code in recoding.code_table.items()[:6]:
     print(f"   {table.types[rank - 1]:<8} -> {code}")

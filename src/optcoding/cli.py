@@ -76,6 +76,15 @@ def _fit_json(fit: maxent.FitResult) -> dict:
     }
 
 
+def _concordance_json(abbrev: corpus.AbbreviationResult | None) -> dict:
+    """The tau key block; all None when `simulate` drew a single type."""
+    return {k: getattr(abbrev, k) if abbrev else None for k in ("tau", "n_c", "n_d", "z_score")}
+
+
+def _recoding_json(recoding: corpus.RecodingResult) -> dict:
+    return {k: getattr(recoding, k) for k in ("l_actual", "l_optimal", "efficiency_ratio")}
+
+
 def _check_size(flag: str, value: int) -> None:
     if not 1 <= value <= MAX_SIZE:
         raise ValueError(f"{flag} must be in 1..{MAX_SIZE}, got {value}")
@@ -146,13 +155,8 @@ def _cmd_simulate(args) -> str:
         "seed": args.seed,
         "n_words": args.words,
         "n_types": table.size,
-        "tau": abbrev.tau if abbrev else None,
-        "n_c": abbrev.n_c if abbrev else None,
-        "n_d": abbrev.n_d if abbrev else None,
-        "z_score": abbrev.z_score if abbrev else None,
-        "l_actual": recoding.l_actual,
-        "l_optimal": recoding.l_optimal,
-        "efficiency_ratio": recoding.efficiency_ratio,
+        **_concordance_json(abbrev),
+        **_recoding_json(recoding),
     }
     if args.text_out is not None:  # written only once the analysis succeeded
         _write_output(" ".join(words) + "\n", args.text_out)
@@ -212,14 +216,9 @@ def _cmd_analyze(args) -> str:
         _write_output(tsv, args.table_out)
     return _json_text({
         "schema": "analysis/1",
-        "tau": report.tau,
-        "n_c": report.n_c,
-        "n_d": report.n_d,
-        "z_score": report.z_score,
-        "note": corpus.ABBREVIATION_NOTE,
-        "l_actual": report.l_actual,
-        "l_optimal": report.l_optimal,
-        "efficiency_ratio": report.efficiency_ratio,
+        **_concordance_json(report.abbreviation),
+        "note": report.abbreviation.note,
+        **_recoding_json(report.recoding),
         "fits": [_fit_json(f) for f in report.fits],
         "fit_warning": report.fit_warning,
     })
@@ -346,7 +345,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"optcoding: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"optcoding: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

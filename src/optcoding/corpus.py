@@ -24,7 +24,6 @@ __all__ = [
     "FrequencyTable",
     "AbbreviationResult",
     "RecodingResult",
-    "FitComparison",
     "AnalysisReport",
     "tokenize",
     "build_table",
@@ -179,7 +178,7 @@ class AbbreviationResult:
     n_c: int
     n_d: int
     z_score: float
-    note: str = ABBREVIATION_NOTE
+    note = ABBREVIATION_NOTE
 
 
 def abbreviation_analysis(table: FrequencyTable) -> AbbreviationResult:
@@ -254,75 +253,38 @@ def frequency_spectrum(table: FrequencyTable) -> dict[int, int]:
     return {int(f): int(n) for f, n in zip(values, counts)}
 
 
-@dataclass(frozen=True)
-class FitComparison:
-    """Per-family fits ranked by log-likelihood (best first)."""
-
-    results: tuple[maxent.FitResult, ...]
-    warning: str | None = None
-
-    @property
-    def best(self) -> maxent.FitResult:
-        return self.results[0]
-
-
-def rank_frequency_fit(
-    table: FrequencyTable,
-    families: tuple[str, ...] = maxent.FAMILIES,
-) -> FitComparison:
-    """Fit rank-distribution families to the table and rank them by likelihood."""
+def rank_frequency_fit(table: FrequencyTable) -> tuple[maxent.FitResult, ...]:
+    """Fit every rank-distribution family to the table, best likelihood first."""
     if table.size < 2:
         raise ValueError("rank-frequency fitting needs at least 2 types")
     observed = maxent.RankCounts(np.arange(1, table.size + 1), table.frequencies)
-    results = maxent.fit_ranked(observed, families)
-    warning = None
-    if table.size < SPARSE_FIT_THRESHOLD:
-        warning = (
-            f"only {table.size} distinct ranks: too few for a meaningful "
-            "model comparison"
-        )
-    return FitComparison(results, warning)
+    return maxent.fit_ranked(observed, maxent.FAMILIES)
 
 
 @dataclass(frozen=True, eq=False)
 class AnalysisReport:
-    """Full corpus report: concordance, recoding lengths, fitted models."""
+    """Full corpus report: the concordance, recoding and fit stage results."""
 
-    tau: float
-    n_c: int
-    n_d: int
-    z_score: float
-    l_actual: float
-    l_optimal: float
+    abbreviation: AbbreviationResult
+    recoding: RecodingResult
     fits: tuple[maxent.FitResult, ...]
-    fit_warning: str | None = None
-
-    @property
-    def efficiency_ratio(self) -> float:
-        return self.l_optimal / self.l_actual
+    fit_warning: str | None
 
 
 def analyze(
-    table: FrequencyTable,
-    alphabet: codebook.Alphabet,
-    l_min: int = 1,
-    *,
-    fit_families: tuple[str, ...] = maxent.FAMILIES,
+    table: FrequencyTable, alphabet: codebook.Alphabet, l_min: int = 1
 ) -> AnalysisReport:
     """Run the whole pipeline on a prepared frequency table."""
     abbrev = abbreviation_analysis(table)
     recoding = optimal_recoding(table, alphabet, l_min)
-    fits = rank_frequency_fit(table, fit_families)
-    return AnalysisReport(
-        tau=abbrev.tau,
-        n_c=abbrev.n_c,
-        n_d=abbrev.n_d,
-        z_score=abbrev.z_score,
-        l_actual=recoding.l_actual,
-        l_optimal=recoding.l_optimal,
-        fits=fits.results,
-        fit_warning=fits.warning,
-    )
+    fits = rank_frequency_fit(table)
+    fit_warning = None
+    if table.size < SPARSE_FIT_THRESHOLD:
+        fit_warning = (
+            f"only {table.size} distinct ranks: too few for a meaningful "
+            "model comparison"
+        )
+    return AnalysisReport(abbrev, recoding, fits, fit_warning)
 
 
 def read_text(path) -> str:

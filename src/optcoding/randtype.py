@@ -147,19 +147,28 @@ def generate(params: RandomTypingParams, seed, n_words: int) -> list[str]:
     """n_words i.i.d. words: l_min forced letters, then stop with p_s per position.
 
     Letters are lowercase latin (so N <= 26 here), uniform unless
-    letter_bias is set.  Deterministic per seed.
+    letter_bias is set.  Deterministic per seed.  The words' letters are
+    drawn at once, so more than `codebook.MAX_TABLE_CHARS` of them in
+    total raise ValueError before any letter is drawn.
     """
     if n_words < 1:
         raise ValueError("n_words must be >= 1")
     if params.N > len(_LETTERS):
         raise ValueError("generator uses lowercase latin letters; needs N <= 26")
     rng = np.random.default_rng(seed)
-    lengths = params.l_min + rng.geometric(params.p_s, n_words) - 1
-    total = int(lengths.sum())
+    lengths = rng.geometric(params.p_s, n_words)
+    # Counted in a float and Python ints: int64 draws saturate at 2**63 - 1 for
+    # tiny p_s, and their int64 sum (or l_min + draw - 1) would wrap.  An
+    # accepted count is exact: every partial sum is an integer below 2**53.
+    letters = int(lengths.sum(dtype=float)) + n_words * (params.l_min - 1)
+    if letters > codebook.MAX_TABLE_CHARS:
+        raise ValueError(f"random typing of {n_words} words needs {letters} letters at "
+                         f"p_s = {params.p_s!r}; the limit is {codebook.MAX_TABLE_CHARS}")
+    lengths += params.l_min - 1
     if params.letter_bias is None:
-        codes = rng.integers(0, params.N, total)
+        codes = rng.integers(0, params.N, letters)
     else:
-        codes = rng.choice(params.N, size=total, p=params.letter_bias)
+        codes = rng.choice(params.N, size=letters, p=params.letter_bias)
     text = (codes + ord("a")).astype(np.uint8).tobytes().decode("ascii")
     ends = np.cumsum(lengths)
     starts = ends - lengths

@@ -290,6 +290,27 @@ class TestAnalyze:
         payload = json.loads(out.stdout)
         assert payload["l_actual"] == pytest.approx((2 * 0.5 + 1.25) / 3)
 
+    def test_agrees_with_simulate_on_its_corpus(self, tmp_path, capsys):
+        text_path = tmp_path / "c.txt"
+        assert cli.main(["simulate", "--N", "26", "--ps", "0.18", "--words", "20000",
+                         "--seed", "3", "--text-out", str(text_path)]) == 0
+        simulated = json.loads(capsys.readouterr().out)
+        assert cli.main(["analyze", "--input", str(text_path)]) == 0
+        analyzed = json.loads(capsys.readouterr().out)
+        shared = ("tau", "n_c", "n_d", "z_score", "l_actual", "l_optimal", "efficiency_ratio")
+        assert [analyzed[k] for k in shared] == [simulated[k] for k in shared]
+
+    @pytest.mark.parametrize("types, warned", [(4, True), (5, False)])
+    def test_fit_warning_below_five_types(self, tmp_path, capsys, types, warned):
+        text = tmp_path / "corpus.txt"
+        text.write_text(" ".join("abcde"[k] * (k + 1) for k in range(types)) + "\n")
+        assert cli.main(["analyze", "--input", str(text)]) == 0
+        warning = json.loads(capsys.readouterr().out)["fit_warning"]
+        if warned:
+            assert warning == f"only {types} distinct ranks: too few for a meaningful model comparison"
+        else:
+            assert warning is None
+
     def test_undecodable_input_is_io_error(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"ok \xff bad")
@@ -317,6 +338,18 @@ class TestSizeCap:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and str(cli.MAX_SIZE) in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("ps, lmin, words", [
+        ("1e-13", "1", "1"), ("1e-9", "1", "3"), ("1e-300", "2", "1"), ("0.5", "1" * 400, "1"),
+    ])
+    def test_letters_past_the_table_cap_refused(self, tmp_path, ps, lmin, words):
+        res = run("simulate", "--N", "2", "--ps", ps, "--lmin", lmin, "--words", words,
+                  "--text-out", str(tmp_path / "typed.txt"))
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert res.stderr.startswith("optcoding: error: random typing of")
+        assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
         assert list(tmp_path.iterdir()) == []
 
     def test_through_the_command(self, tmp_path):

@@ -415,6 +415,20 @@ class TestSampling:
         truncated = sample(MaxentSpec(0.1, LinearLength(), truncation=5), 3, 100)
         assert truncated.max() <= 5
 
+    @pytest.mark.parametrize("base", [math.e, 2.0])
+    def test_log_length_spec_samples_its_zeta_law(self, base):
+        spec = MaxentSpec(1.5, LogLength(base))
+        ranks = sample(spec, 17, 5000)
+        assert ranks.tolist() == sample(ZetaParams(1.5 / math.log(base)), 17, 5000).tolist()
+
+    def test_untruncated_code_length_spec_cannot_be_sampled(self):
+        with pytest.raises(ValueError, match="cannot sample .* without a truncation"):
+            sample(MaxentSpec(4.0, CodeLength(26)), 1, 10)
+
+    def test_non_family_rejected(self):
+        with pytest.raises(TypeError, match="cannot sample from str"):
+            sample("zeta", 1, 10)
+
     def test_bare_pmf_needs_truncation(self):
         params = GeometricParams(0.5)
         pmf = lambda i: geometric_pmf(params, i)  # noqa: E731

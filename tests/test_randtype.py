@@ -194,6 +194,26 @@ class TestGenerate:
         words = generate(params, 3, 1000)
         assert any(w == "" for w in words)
 
+    @pytest.mark.parametrize("l_min", [0, 1, 3])
+    def test_letter_cap_is_inclusive(self, monkeypatch, l_min):
+        params = RandomTypingParams(4, 0.3, l_min)
+        words = generate(params, 9, 500)
+        letters = sum(map(len, words))
+        monkeypatch.setattr(randtype.codebook, "MAX_TABLE_CHARS", letters)
+        assert generate(params, 9, 500) == words
+        monkeypatch.setattr(randtype.codebook, "MAX_TABLE_CHARS", letters - 1)
+        with pytest.raises(ValueError, match=f"needs {letters} letters"):
+            generate(params, 9, 500)
+
+    @pytest.mark.parametrize("p_s, l_min, n_words", [
+        (1e-13, 1, 1), (1e-9, 1, 3), (1e-300, 2, 1),  # 1e-300: draws saturate at 2**63 - 1
+        (1e-300, 1, 2),  # two saturated draws wrap an int64 sum
+        (0.5, 10**400, 1),  # past the float range
+    ])
+    def test_too_many_letters_refused_before_drawing_them(self, p_s, l_min, n_words):
+        with pytest.raises(ValueError, match="the limit is 100000000"):
+            generate(RandomTypingParams(2, p_s, l_min), 0, n_words)
+
 
 class TestWordRanks:
     def test_inverts_enumeration(self):

@@ -14,6 +14,8 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import filterfalse, repeat
+from operator import methodcaller
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -41,6 +43,9 @@ ABBREVIATION_NOTE = (
     "tau <= 0 is a necessary condition for optimal coding; "
     "a non-significant tau does not rule out efficient coding"
 )
+
+# The ASCII characters of Unicode category P*: what an ASCII chunk can strip.
+_ASCII_PUNCT = "!\"#%&'()*,-./:;?@[\\]_{}"
 
 # Models with fewer distinct ranks than this are flagged as fitted on
 # too little data for a meaningful comparison.
@@ -93,19 +98,37 @@ class FrequencyTable:
         return assign.RankedDistribution(self.probabilities())
 
 
+def _tokens(chunk: str, lowercase: bool, strip_punctuation: bool) -> Iterable[str]:
+    """The tokens of one chunk: split, strip and drop the empty ones, in
+    iterator passes that `Counter.update` consumes without a token list.
+
+    Casefolding the whole chunk first gives the same tokens as folding each
+    stripped token: casefold maps every P* and whitespace character to
+    itself and no other character to one (or to nothing), so the split
+    points, the stripped ends and the empty tokens stay where they were.
+    Stripping with P* characters absent from the chunk changes nothing, so
+    an ASCII chunk strips with `_ASCII_PUNCT` without looking at its
+    characters.
+    """
+    if lowercase:
+        chunk = chunk.casefold()
+    tokens = chunk.split()
+    if not strip_punctuation:
+        return tokens
+    if chunk.isascii():
+        punct = _ASCII_PUNCT
+    else:
+        punct = "".join(c for c in set(chunk) if unicodedata.category(c).startswith("P"))
+    return filter(None, map(str.strip, tokens, repeat(punct)))
+
+
 def tokenize(text: str, *, lowercase: bool = False, strip_punctuation: bool = True) -> list[str]:
     """Whitespace tokenization with optional case folding and punctuation strip.
 
     Punctuation stripping removes leading and trailing characters whose
     Unicode category is P*; tokens empty after stripping are dropped.
     """
-    tokens = text.split()
-    if strip_punctuation:
-        punct = "".join(c for c in set(text) if unicodedata.category(c).startswith("P"))
-        tokens = [tok.strip(punct) for tok in tokens]
-    if lowercase:
-        tokens = [tok.casefold() for tok in tokens]
-    return [tok for tok in tokens if tok]
+    return list(_tokens(text, lowercase, strip_punctuation))
 
 
 def _grapheme_count(token: str) -> int:
@@ -126,12 +149,15 @@ def _table_from_counts(
         raise ValueError(f"unknown magnitude mode {magnitude!r}")
     if not counts:
         raise ValueError("empty input: no tokens")
-    # sorted() stays stable under reverse=True: tied types keep first-seen order
-    ordered = sorted(counts, key=counts.__getitem__, reverse=True)
-    freqs = [counts[t] for t in ordered]
+    # Counter keeps first-seen order, which the stable sort keeps among ties
+    seen = list(counts)
+    freqs = np.fromiter(counts.values(), dtype=np.int64, count=len(seen))
+    order = np.argsort(-freqs, kind="stable")
+    ordered = tuple(map(seen.__getitem__, order.tolist()))
+    freqs = freqs[order]
     sidecar = magnitudes or {}
     mags = [float(sidecar[t]) if t in sidecar else measure(t) for t in ordered]
-    return FrequencyTable(tuple(ordered), freqs, mags, sum(freqs))
+    return FrequencyTable(ordered, freqs, mags, int(freqs.sum()))
 
 
 def table_from_tokens(
@@ -162,7 +188,7 @@ def build_table(
         source = [source]
     counts = Counter()
     for chunk in source:
-        counts.update(tokenize(chunk, lowercase=lowercase, strip_punctuation=strip_punctuation))
+        counts.update(_tokens(chunk, lowercase, strip_punctuation))
     return _table_from_counts(counts, magnitude, magnitudes)
 
 
@@ -288,11 +314,12 @@ def analyze(
 
 
 def read_text(path) -> str:
-    """Read a UTF-8 text file; undecodable bytes raise with their offset."""
+    """Read a UTF-8 text file without its byte-order mark, if it has one;
+    undecodable bytes raise with their offset in the file."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValueError(
             f"undecodable byte at offset {exc.start} in {path}: {exc.reason}"
@@ -302,24 +329,44 @@ def read_text(path) -> str:
 def read_magnitudes(path) -> dict[str, float]:
     """Sidecar TSV of per-type magnitudes: `type<TAB>magnitude` per line.
 
-    Blank lines and lines starting with '#' are skipped; duplicate types
-    are an error.
+    Blank lines and lines starting with '#' are skipped; a row without
+    exactly one tab, a duplicate type, or a magnitude that is not a
+    positive finite number raises ValueError naming its file and line.
     """
-    out: dict[str, float] = {}
-    text = read_text(path)
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = read_text(path).splitlines()
+    rows = list(filterfalse(methodcaller("startswith", "#"), filter(str.strip, lines)))
+    tabs = list(map(str.count, rows, repeat("\t")))
+    if rows and min(tabs) == max(tabs) == 1:
+        cells = "\t".join(rows).split("\t")
+        try:
+            values = list(map(float, cells[1::2]))
+        except ValueError:  # the line walk below names the value
+            values = []
+        out = dict(zip(cells[0::2], values))  # a duplicate type leaves it short
+        checked = np.array(values)
+        if len(out) == len(rows) and np.all((checked > 0) & np.isfinite(checked)):
+            return out
+    raise _sidecar_error(path, lines)
+
+
+def _sidecar_error(path, lines: list[str]) -> ValueError:
+    """The error of the first bad line of a sidecar that `read_magnitudes`
+    rejected, or of a sidecar without entries."""
+    seen = set()
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected `type<TAB>magnitude`")
+            return ValueError(f"{path}:{lineno}: expected `type<TAB>magnitude`")
         t, m = parts
-        if t in out:
-            raise ValueError(f"{path}:{lineno}: duplicate type {t!r}")
-        value = float(m)
+        if t in seen:
+            return ValueError(f"{path}:{lineno}: duplicate type {t!r}")
+        seen.add(t)
+        try:
+            value = float(m)
+        except ValueError:
+            return ValueError(f"{path}:{lineno}: magnitude {m!r} is not a number")
         if not value > 0 or not math.isfinite(value):
-            raise ValueError(f"{path}:{lineno}: magnitude must be positive and finite")
-        out[t] = value
-    if not out:
-        raise ValueError(f"{path}: no magnitude entries")
-    return out
+            return ValueError(f"{path}:{lineno}: magnitude must be positive and finite")
+    return ValueError(f"{path}: no magnitude entries")

@@ -169,10 +169,14 @@ def generate(params: RandomTypingParams, seed, n_words: int) -> list[str]:
         codes = rng.integers(0, params.N, letters)
     else:
         codes = rng.choice(params.N, size=letters, p=params.letter_bias)
-    text = (codes + ord("a")).astype(np.uint8).tobytes().decode("ascii")
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    return [text[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+    # The letters with one space after each word: split(" ") keeps the empty
+    # words of l_min = 0, where split() would drop them.
+    spaces = np.cumsum(lengths) + np.arange(n_words)
+    is_letter = np.ones(letters + n_words, dtype=bool)
+    is_letter[spaces] = False
+    text = np.full(letters + n_words, ord(" "), dtype=np.uint8)
+    text[is_letter] = codes + ord("a")
+    return text[:-1].tobytes().decode("ascii").split(" ")
 
 
 def word_ranks(params: RandomTypingParams, words) -> np.ndarray:

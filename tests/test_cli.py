@@ -200,6 +200,14 @@ class TestFit:
         assert all(ll <= 0.0 for ll in lls.values()), lls
         assert lls["zipf-mandelbrot"] >= lls["zeta"], lls
 
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        data = tmp_path / "counts.tsv"
+        data.write_bytes("\ufeff1\t50\n2\t20\n3\t5\n".encode())
+        out = run("fit", "--input", str(data), "--family", "geometric")
+        assert out.returncode == 0, out.stderr
+        payload = json.loads(out.stdout)
+        assert (payload["n"], payload["support"]) == (75, [1, 3])
+
     def test_alpha_domain_error(self, tmp_path):
         data = tmp_path / "counts.tsv"
         data.write_text("1\t50\n")  # single rank: degenerate
@@ -290,6 +298,20 @@ class TestAnalyze:
         payload = json.loads(out.stdout)
         assert payload["l_actual"] == pytest.approx((2 * 0.5 + 1.25) / 3)
 
+    def test_byte_order_marks_are_not_data(self, tmp_path):
+        text = tmp_path / "corpus.txt"
+        text.write_bytes("\ufeffthe cat the\n".encode())
+        side = tmp_path / "durations.tsv"
+        side.write_bytes("\ufeffthe\t0.5\ncat\t1.25\n".encode())
+        table_path = tmp_path / "table.tsv"
+        out = run("analyze", "--input", str(text), "--magnitudes", str(side),
+                  "--table-out", str(table_path))
+        assert out.returncode == 0, out.stderr
+        assert table_path.read_text() == (
+            "type\tfrequency\tmagnitude\nthe\t2\t0.5\ncat\t1\t1.25\n"
+        )
+        assert json.loads(out.stdout)["l_actual"] == pytest.approx((2 * 0.5 + 1.25) / 3)
+
     def test_agrees_with_simulate_on_its_corpus(self, tmp_path, capsys):
         text_path = tmp_path / "c.txt"
         assert cli.main(["simulate", "--N", "26", "--ps", "0.18", "--words", "20000",
@@ -317,6 +339,13 @@ class TestAnalyze:
         res = run("analyze", "--input", str(bad))
         assert res.returncode == 3  # ValueError with offset from the reader
         assert "offset" in res.stderr
+
+    def test_undecodable_byte_after_a_byte_order_mark(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xef\xbb\xbfok \xff bad")
+        res = run("analyze", "--input", str(bad))
+        assert res.returncode == 3
+        assert res.stderr.startswith("optcoding: error: undecodable byte at offset 6 in ")
 
 
 class TestSizeCap:

@@ -8,7 +8,7 @@ import regex
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optcoding import cli
+from optcoding import cli, corpus
 from optcoding.assign import Assignment, kendall_tau
 from optcoding.codebook import Alphabet, code_length_for_rank, mean_code_length
 from optcoding.corpus import (
@@ -50,6 +50,30 @@ class TestTokenizer:
 
     def test_punctuation_kept_on_request(self):
         assert tokenize("wait!", strip_punctuation=False) == ["wait!"]
+
+    def test_chunk_that_casefolds_to_ascii(self):
+        # KELVIN SIGN and LONG S fold to ASCII letters, so the folded chunk
+        # strips with the ASCII punctuation constant
+        text = "(\u212a), \u017fo! \u212a\u017f..."
+        assert tokenize(text, lowercase=True) == oracle_tokenize(text, lowercase=True)
+        assert tokenize(text, lowercase=True) == ["k", "so", "ks"]
+
+    def test_casefold_keeps_punctuation_and_whitespace_in_place(self):
+        # Why the tokenizer may casefold a whole chunk before splitting and
+        # stripping it: no code point that casefold changes is P* or
+        # whitespace, and each folds to a nonempty string holding neither.
+        def stop(c):
+            return c.isspace() or unicodedata.category(c).startswith("P")
+
+        changed = [c for c in map(chr, range(0x110000)) if c.casefold() != c]
+        assert len(changed) > 1000
+        for c in changed:
+            folded = c.casefold()
+            assert folded and not stop(c) and not any(map(stop, folded)), hex(ord(c))
+
+    def test_ascii_punctuation_constant(self):
+        ascii_p = [c for c in map(chr, range(128)) if unicodedata.category(c).startswith("P")]
+        assert sorted(corpus._ASCII_PUNCT) == ascii_p
 
 
 class TestBuildTable:
@@ -147,7 +171,7 @@ CHARS = (
     + list("$+\u00a9\u20ac^\u02da")
     + ["\u0301", "\u0308"]
     + list(" \t\n\u00a0\u2003\u3000\u2028\x85")
-    + list("\u00df\ufb01\u0130")
+    + list("\u00df\ufb01\u0130\u212a\u017f")
 )
 TEXT = st.text(alphabet=st.sampled_from(CHARS), max_size=60)
 FLAGS = st.booleans()
@@ -227,6 +251,17 @@ class TestReadHelpers:
         with pytest.raises(ValueError, match="offset 10"):
             read_text(p)
 
+    def test_read_text_drops_a_byte_order_mark(self, tmp_path):
+        p = tmp_path / "bom.txt"
+        p.write_bytes(b"\xef\xbb\xbfthe cat\n\xef\xbb\xbf")
+        assert read_text(p) == "the cat\n\ufeff"  # only the leading mark
+
+    def test_bad_byte_after_a_byte_order_mark_keeps_its_file_offset(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"\xef\xbb\xbfgood \xff more")
+        with pytest.raises(ValueError, match="offset 8 "):
+            read_text(p)
+
     def test_read_magnitudes(self, tmp_path):
         p = tmp_path / "mags.tsv"
         p.write_text("# duration data\nthe\t0.21\nof\t0.18\n")
@@ -241,6 +276,102 @@ class TestReadHelpers:
         p2.write_text("a\t-1.0\n")
         with pytest.raises(ValueError):
             read_magnitudes(p2)
+
+    def test_read_magnitudes_names_an_unparseable_value(self, tmp_path):
+        p = tmp_path / "x.tsv"
+        p.write_text("a\t1\nb\tx\n")
+        with pytest.raises(ValueError) as exc:
+            read_magnitudes(p)
+        assert str(exc.value) == f"{p}:2: magnitude 'x' is not a number"
+
+    def test_read_magnitudes_after_a_byte_order_mark(self, tmp_path):
+        p = tmp_path / "bom.tsv"
+        p.write_bytes("\ufeffthe\t0.5\nof\t2\n".encode())
+        assert read_magnitudes(p) == {"the": 0.5, "of": 2.0}
+
+    @pytest.mark.parametrize("text, message", [
+        # tab counts 2 and 1 that realign into numeric pairs in one split
+        ("a\t1\t2\n5\t3\n", ":1: expected `type<TAB>magnitude`"),
+        ("a\t1\t\n2\n", ":1: expected `type<TAB>magnitude`"),
+        ("a\t1\nb\n", ":2: expected `type<TAB>magnitude`"),
+        ("# x\n\na\t1\r\na\t2\n", ":4: duplicate type 'a'"),
+        ("a\t1\nb\t\n", ":2: magnitude '' is not a number"),
+        ("a\tnan\nb\tx\n", ":1: magnitude must be positive and finite"),
+        ("a\t1\nb\tinf\n", ":2: magnitude must be positive and finite"),
+        ("# a\t1\n \t \n", ": no magnitude entries"),
+    ])
+    def test_read_magnitudes_reports_the_first_bad_line(self, tmp_path, text, message):
+        p = tmp_path / "bad.tsv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_magnitudes(p)
+        assert str(exc.value) == f"{p}{message}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_read_magnitudes_matches_the_line_walk(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "sidecar.tsv"
+        path.write_bytes(data.draw(SIDECAR).encode())
+        try:
+            want = list(oracle_read_magnitudes(path).items())
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                read_magnitudes(path)
+            assert str(got.value) == str(exc)
+        else:
+            assert list(read_magnitudes(path).items()) == want
+
+
+# The line-by-line sidecar reader that `read_magnitudes` replaced, with the
+# message for a value float() rejects.
+def oracle_read_magnitudes(path):
+    out = {}
+    text = read_text(path)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected `type<TAB>magnitude`")
+        t, m = parts
+        if t in out:
+            raise ValueError(f"{path}:{lineno}: duplicate type {t!r}")
+        try:
+            value = float(m)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: magnitude {m!r} is not a number") from None
+        if not value > 0 or not math.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: magnitude must be positive and finite")
+        out[t] = value
+    if not out:
+        raise ValueError(f"{path}: no magnitude entries")
+    return out
+
+
+# Sidecar texts: mostly valid rows, with blank and comment lines, rows of 0
+# or 2 tabs, repeated types, values float() rejects or the reader refuses,
+# and line endings splitlines() splits at.
+SIDE_TYPE = st.text(alphabet="abc1\u00e9# \u00a0", max_size=4)
+SIDE_ROW = st.builds(
+    "{}\t{}".format, SIDE_TYPE, st.floats(min_value=1e-3, max_value=1e6).map(repr)
+)
+SIDE_NOISE = st.one_of(
+    st.sampled_from(["", "  ", " \t ", "#", "# a\t1", "#\t\t", "a", "a\t1\t", "\t"]),
+    st.builds(
+        "{}\t{}".format,
+        SIDE_TYPE,
+        st.sampled_from(["1", "0", "-1", "-0", "inf", "nan", "1_0", " 2 ", "x", "", "0x1"]),
+    ),
+)
+SIDECAR = st.builds(
+    lambda bom, rows, ends: bom + "".join(r + e for r, e in zip(rows, ends)),
+    st.sampled_from(["", "\ufeff"]),
+    st.one_of(
+        st.lists(SIDE_ROW, min_size=1, max_size=8, unique_by=lambda row: row.split("\t")[0]),
+        st.lists(st.one_of(SIDE_ROW, SIDE_NOISE), max_size=8),
+    ),
+    st.lists(st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"]), min_size=8, max_size=8),
+)
 
 
 class TestAbbreviationAnalysis:

@@ -157,6 +157,21 @@ class TestAbbreviationLaw:
             AbbreviationLaw(0.5, 1.0)
 
 
+# The generator's word split before it wrote spaces into the letter buffer:
+# one Python slice per word.
+def oracle_generate(params, seed, n_words):
+    rng = np.random.default_rng(seed)
+    lengths = rng.geometric(params.p_s, n_words) + (params.l_min - 1)
+    if params.letter_bias is None:
+        codes = rng.integers(0, params.N, int(lengths.sum()))
+    else:
+        codes = rng.choice(params.N, size=int(lengths.sum()), p=params.letter_bias)
+    text = (codes + ord("a")).astype(np.uint8).tobytes().decode("ascii")
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    return [text[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+
+
 class TestGenerate:
     def test_high_stop_probability_pins_length(self):
         params = RandomTypingParams(2, 0.999, 1)
@@ -193,6 +208,24 @@ class TestGenerate:
         params = RandomTypingParams(2, 0.5, 0)
         words = generate(params, 3, 1000)
         assert any(w == "" for w in words)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 26),
+        st.floats(0.05, 0.95),
+        st.sampled_from([0, 1, 3]),
+        st.one_of(st.just(1), st.integers(1, 400)),
+        st.booleans(),
+        st.data(),
+    )
+    def test_matches_the_slicing_oracle(self, N, p_s, l_min, n_words, biased, data):
+        bias = None
+        if biased:
+            w = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=N, max_size=N)))
+            bias = w / w.sum()
+        params = RandomTypingParams(N, p_s, l_min, bias)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        assert generate(params, seed, n_words) == oracle_generate(params, seed, n_words)
 
     @pytest.mark.parametrize("l_min", [0, 1, 3])
     def test_letter_cap_is_inclusive(self, monkeypatch, l_min):

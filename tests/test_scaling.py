@@ -4,16 +4,20 @@ method would take many seconds.
 Nothing here asserts a wall time.  The group sweep `pair_counts` used
 before Knight's method took about 15 s on the pair-count input below and
 the per-string `verify_optimality` check about 8 s at i_max = 10**6, so
-a return to either shows up as a jump in the suite's runtime.
+a return to either shows up as a jump in the suite's runtime.  Likewise a
+tokenizer pass sized by each chunk's largest code point (a bincount over
+it, say) would take 40 to 90 s on the 200k one-line chunks below.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from optcoding.assign import Assignment, RankedDistribution, pair_counts
+from optcoding.corpus import build_table, tokenize
 from optcoding.randtype import RandomTypingParams, verify_optimality
 
 
@@ -38,3 +42,15 @@ def test_pair_counts_match_kendall_tau_b_at_two_hundred_thousand_types():
 def test_verify_optimality_at_a_million_ranks():
     report = verify_optimality(RandomTypingParams(26, 0.18), 10**6)
     assert report.passed and len(report.checks) == 4, report
+
+
+def test_build_table_on_two_hundred_thousand_non_ascii_lines():
+    lines = [
+        f"W{k % 9000}, \u00c9t\u00e9{k % 7}! \u00ab\U0001f600{k % 3}\u00bb\n"
+        for k in range(200_000)
+    ]
+    table = build_table(lines, lowercase=True)
+    counts = Counter(tokenize("".join(lines), lowercase=True))
+    ranked = sorted(counts.items(), key=lambda kv: -kv[1])  # stable: first seen
+    assert list(zip(table.types, table.frequencies.tolist())) == ranked
+    assert table.total_tokens == 600_000

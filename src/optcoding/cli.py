@@ -3,7 +3,10 @@
 Subcommands: codes, lengths, simulate, fit, analyze, figure, oracle.
 Exit codes: 0 success, 2 usage error, 3 numeric or domain error, 4 I/O
 error.  Identical invocations (same flags and seed) produce byte-identical
-artifacts, and no output file is created on any error path.
+artifacts, and no output file is created on any error path.  For
+`analyze`, `fit` and `simulate` that also takes the same BLAS thread count
+(e.g. OPENBLAS_NUM_THREADS): their recoding lengths and fits reduce sums
+with BLAS, whose summation order depends on it.
 """
 
 from __future__ import annotations
@@ -163,6 +166,16 @@ def _cmd_simulate(args) -> str:
     return _json_text(payload)
 
 
+def _int_or_none(cell: str) -> int | None:
+    """int(cell), or None if the cell is not an integer literal."""
+    try:
+        return int(cell)
+    except ValueError as exc:
+        if not str(exc).startswith("invalid literal"):
+            raise  # an integer past int()'s digit limit is not a header
+        return None
+
+
 def _read_rank_counts(path) -> dict[int, int]:
     text = corpus.read_text(path)
     rows = [
@@ -170,13 +183,18 @@ def _read_rank_counts(path) -> dict[int, int]:
         for lineno, line in enumerate(text.splitlines(), start=1)
         if line.strip() and not line.strip().startswith("#")
     ]
-    if rows and rows[0][1] and not rows[0][1][0].lstrip("-").isdigit():
-        rows = rows[1:]  # header: the first line that is not blank or a comment
+    if rows and rows[0][1] and _int_or_none(rows[0][1][0]) is None:
+        rows = rows[1:]  # header: a first row whose first cell is not an integer
     out: dict[int, int] = {}
     for lineno, parts in rows:
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected `rank<TAB>count`")
-        rank, count = int(parts[0]), int(parts[1])
+        try:
+            rank, count = int(parts[0]), int(parts[1])
+        except ValueError:
+            named = zip(("rank", "count"), parts)
+            what, cell = next((w, c) for w, c in named if _int_or_none(c) is None)
+            raise ValueError(f"{path}:{lineno}: {what} {cell!r} is not an integer") from None
         if rank in out:
             raise ValueError(f"{path}:{lineno}: duplicate rank {rank}")
         out[rank] = count

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -373,6 +373,17 @@ class EntropyValue:
             raise ValueError("entropy must be nonnegative")
 
 
+def _pmf_table(pmf: Callable[[int], float], truncation: int) -> np.ndarray:
+    """pmf(1), ..., pmf(truncation) as a float array, one call per rank;
+    negative values or a table with no mass raise ValueError."""
+    if truncation < 1:
+        raise ValueError("truncation must be >= 1")
+    p = np.array([pmf(i) for i in range(1, truncation + 1)], dtype=float)
+    if np.any(p < 0) or not p.any():
+        raise ValueError("pmf values must be nonnegative and not all zero")
+    return p
+
+
 def entropy(
     pmf: Callable[[int], float], truncation: int, unit: str = "nats"
 ) -> EntropyValue:
@@ -383,11 +394,7 @@ def entropy(
     """
     if unit not in ("nats", "bits"):
         raise ValueError("unit must be 'nats' or 'bits'")
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    p = np.array([pmf(i) for i in range(1, truncation + 1)], dtype=float)
-    if np.any(p < 0):
-        raise ValueError("pmf values must be nonnegative")
+    p = _pmf_table(pmf, truncation)
     total = float(p.sum())
     if abs(total - 1.0) > 1e-6:
         raise ValueError(
@@ -496,10 +503,12 @@ def sample(family, seed, n: int, *, truncation: int | None = None) -> np.ndarray
     """Draw n i.i.d. ranks (>= 1) by inverse CDF; deterministic per seed.
 
     Accepts GeometricParams, ZetaParams, ZipfMandelbrotParams, a MaxentSpec,
-    or a bare pmf callable.  Callables and MaxentSpecs without closed-form
-    partitions need a truncation; the table is then renormalized over it.
-    For the Zipf-Mandelbrot family the returned rank r corresponds to
-    support index r - 1.
+    or a bare pmf callable.  An untruncated MaxentSpec with a linear or log
+    length law is sampled as the geometric or zeta family it equals; other
+    specs and callables need a truncation, and their table is renormalized
+    over it.  Every route inverts the same n uniforms, drawn once.  For the
+    Zipf-Mandelbrot family the returned rank r corresponds to support
+    index r - 1.
 
     Zeta, Zipf-Mandelbrot and log-length draws invert the first 2^16 ranks
     by table and all later draws at once; the same u always gives the same
@@ -509,8 +518,16 @@ def sample(family, seed, n: int, *, truncation: int | None = None) -> np.ndarray
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
+    if isinstance(family, MaxentSpec):
+        if family.truncation is not None:
+            family, truncation = partial(maxent_pmf, family), family.truncation
+        elif isinstance(family.length_law, LinearLength):
+            family = GeometricParams(1.0 - math.exp(-family.alpha))
+        elif isinstance(family.length_law, LogLength):
+            family = ZetaParams(family.length_law.effective_exponent(family.alpha))
+        else:
+            raise ValueError("cannot sample this maxent spec without a truncation")
+    u = np.random.default_rng(seed).random(n)
     if isinstance(family, GeometricParams):
         k = np.ceil(np.log1p(-u) / math.log1p(-family.q))
         return np.maximum(k, 1.0).astype(np.int64)
@@ -518,31 +535,13 @@ def sample(family, seed, n: int, *, truncation: int | None = None) -> np.ndarray
         return _power_family_ranks(family.alpha, 1.0, u)
     if isinstance(family, ZipfMandelbrotParams):
         return _power_family_ranks(family.alpha, family.b, u)
-    if isinstance(family, MaxentSpec):
-        if family.truncation is not None:
-            pmf = lambda i: maxent_pmf(family, i)  # noqa: E731
-            return _table_ranks(pmf, family.truncation, u)
-        if isinstance(family.length_law, LinearLength):
-            q = 1.0 - math.exp(-family.alpha)
-            return sample(GeometricParams(q), seed, n)
-        if isinstance(family.length_law, LogLength):
-            return _power_family_ranks(
-                family.length_law.effective_exponent(family.alpha), 1.0, u
-            )
-        raise ValueError("cannot sample this maxent spec without a truncation")
     if callable(family):
         if truncation is None:
             raise ValueError("sampling a bare pmf needs a truncation")
-        return _table_ranks(family, truncation, u)
+        p = _pmf_table(family, truncation)
+        cdf = np.cumsum(p) / p.sum()
+        return (np.searchsorted(cdf, u, side="left") + 1).astype(np.int64)
     raise TypeError(f"cannot sample from {type(family).__name__}")
-
-
-def _table_ranks(pmf, truncation: int, u: np.ndarray) -> np.ndarray:
-    p = np.array([pmf(i) for i in range(1, truncation + 1)], dtype=float)
-    if np.any(p < 0) or p.sum() <= 0:
-        raise ValueError("invalid pmf table")
-    cdf = np.cumsum(p) / p.sum()
-    return (np.searchsorted(cdf, u, side="left") + 1).astype(np.int64)
 
 
 @dataclass(frozen=True)

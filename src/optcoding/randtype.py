@@ -203,6 +203,15 @@ class OptimalityReport:
         return not self.failures
 
 
+# The failure message of each `verify_optimality` check.
+_FAILURES = {
+    "equal_length_equiprobable": "words of equal length are not equally probable",
+    "probability_nonincreasing": "rank probabilities do not decrease stepwise",
+    "assignment_optimal": "length assignment violates the optimality conditions",
+    "all_strings_of_used_lengths": "some available strings of a used length are unused",
+}
+
+
 def _shortest_in_order(N: int, l_min: int, lengths: np.ndarray) -> bool:
     """True iff the (nonnegative int) lengths never decrease and are, as a
     multiset, the len(lengths) shortest string lengths >= l_min over N symbols."""
@@ -260,9 +269,6 @@ def verify_optimality(params: RandomTypingParams, i_max: int) -> OptimalityRepor
     N, l_min = params.N, params.l_min
     lengths = codebook.code_length_for_rank(N, l_min, np.arange(1, i_max + 1))
     log_ratios = _log_probability_ratios(params, lengths)
-    failures = []
-    checks = {}
-
     order = np.argsort(lengths, kind="stable")
     l_sorted, r_sorted = lengths[order], log_ratios[order]
     tied = l_sorted[1:] == l_sorted[:-1]
@@ -270,26 +276,17 @@ def verify_optimality(params: RandomTypingParams, i_max: int) -> OptimalityRepor
     steps = np.diff(log_ratios)
     boundary = np.flatnonzero(np.diff(lengths) > 0)
     decreasing = not (np.any(steps > 0) or np.any(steps[boundary] >= 0))
-    checks["equal_length_equiprobable"] = same
-    if not same:
-        failures.append("words of equal length are not equally probable")
-    checks["probability_nonincreasing"] = decreasing
-    if not decreasing:
-        failures.append("rank probabilities do not decrease stepwise")
-
-    optimal = _shortest_in_order(N, l_min, lengths)
-    checks["assignment_optimal"] = optimal
-    if not optimal:
-        failures.append("length assignment violates the optimality conditions")
-
     codebook.check_table_size(N, l_min, i_max)
     blocks = codebook.string_digits(N, l_min, i_max)
-    complete = _uses_every_string(N, l_min, int(lengths.max()), blocks)
-    checks["all_strings_of_used_lengths"] = complete
-    if not complete:
-        failures.append("some available strings of a used length are unused")
-
-    return OptimalityReport(i_max, checks, tuple(failures))
+    top = int(lengths.max())
+    checks = {
+        "equal_length_equiprobable": same,
+        "probability_nonincreasing": decreasing,
+        "assignment_optimal": _shortest_in_order(N, l_min, lengths),
+        "all_strings_of_used_lengths": _uses_every_string(N, l_min, top, blocks),
+    }
+    failures = tuple(_FAILURES[name] for name, ok in checks.items() if not ok)
+    return OptimalityReport(i_max, checks, failures)
 
 
 def figure2_data(

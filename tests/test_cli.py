@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -207,6 +208,35 @@ class TestFit:
         assert out.returncode == 0, out.stderr
         payload = json.loads(out.stdout)
         assert (payload["n"], payload["support"]) == (75, [1, 3])
+
+    def test_signed_first_row_is_data_not_a_header(self, tmp_path, capsys):
+        # int() reads "+1" as 1, so the row is data; it was once dropped as a
+        # header, which gave n = 7 on support [2, 3].
+        data = tmp_path / "counts.tsv"
+        data.write_text("+1\t10\n2\t5\n3\t2\n")
+        assert cli.main(["fit", "--input", str(data), "--family", "geometric"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["n"], payload["support"]) == (17, [1, 3])
+
+    def test_first_row_past_the_int_digit_limit_is_not_a_header(self, tmp_path, capsys):
+        data = tmp_path / "counts.tsv"
+        data.write_text("9" * 5000 + "\t3\n2\t5\n3\t1\n")
+        assert cli.main(["fit", "--input", str(data), "--family", "geometric"]) == 3
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("rows, line, cell", [
+        ("1\t10\n2\tabc\n", 2, "count 'abc'"),
+        ("rank\tcount\n1\t10\n\n2.5\t3\n", 4, "rank '2.5'"),
+        ("# note\n1\tx1\n", 2, "count 'x1'"),
+    ])
+    def test_bad_cell_names_its_line(self, tmp_path, capsys, rows, line, cell):
+        data = tmp_path / "counts.tsv"
+        data.write_text(rows)
+        message = f"{data}:{line}: {cell} is not an integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cli._read_rank_counts(data)
+        assert cli.main(["fit", "--input", str(data)]) == 3
+        assert capsys.readouterr() == ("", f"optcoding: error: {message}\n")
 
     def test_alpha_domain_error(self, tmp_path):
         data = tmp_path / "counts.tsv"

@@ -271,6 +271,15 @@ class TestShannonLengths:
         assert lengths.tolist() == [1, 2, 3, 3]
         assert sum(Fraction(1, 2**k) for k in lengths.tolist()) == 1
 
+    def test_float_estimate_past_a_dyadic_length_is_snapped_back(self):
+        # -log(2**-29) / log(2) is 29.000000000000004 in floats, so the
+        # estimate for the last two ranks is 30 and must come down to 29.
+        probs = [2.0**-k for k in range(1, 30)] + [2.0**-29]
+        assert math.ceil(-math.log(probs[-1]) / math.log(2)) == 30
+        lengths = uniquely_decodable_lengths(RankedDistribution(np.array(probs)), 2)
+        assert lengths.tolist() == list(range(1, 30)) + [29]
+        assert sum(Fraction(1, 2**k) for k in lengths.tolist()) == 1
+
     def test_skewed_pair(self):
         d = RankedDistribution(np.array([0.9, 0.1]))
         assert uniquely_decodable_lengths(d, 2).tolist() == [1, 4]

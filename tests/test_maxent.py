@@ -421,6 +421,29 @@ class TestSampling:
         ranks = sample(spec, 17, 5000)
         assert ranks.tolist() == sample(ZetaParams(1.5 / math.log(base)), 17, 5000).tolist()
 
+    @pytest.mark.parametrize("n", [5, 1000])
+    @pytest.mark.parametrize("spec, equal, kwargs", [
+        (MaxentSpec(math.log(2), LinearLength()), lambda _: GeometricParams(0.5), {}),
+        (MaxentSpec(1.5, LogLength(2.0)), lambda _: ZetaParams(1.5 / math.log(2.0)), {}),
+        (MaxentSpec(0.7, math.sqrt, truncation=300),
+         lambda spec: lambda i: maxent_pmf(spec, i), {"truncation": 300}),
+    ], ids=["linear", "log2", "truncated"])
+    def test_spec_draws_its_uniforms_once(self, spec, equal, kwargs, n):
+        # The linear spec once re-entered `sample`, which took n more uniforms
+        # from a Generator seed and returned ranks from that second batch.
+        g1, g2 = np.random.default_rng(5), np.random.default_rng(5)
+        want = sample(equal(spec), g2, n, **kwargs)
+        assert sample(spec, g1, n).tolist() == want.tolist()
+        assert g1.random() == g2.random()
+
+    @pytest.mark.parametrize("values", [(0.75, -0.25, 0.5), (0.0, 0.0, 0.0)])
+    def test_negative_or_massless_pmf_rejected_by_sample_and_entropy(self, values):
+        pmf = lambda i: values[i - 1]  # noqa: E731
+        with pytest.raises(ValueError, match="nonnegative and not all zero"):
+            sample(pmf, 1, 10, truncation=3)
+        with pytest.raises(ValueError, match="nonnegative and not all zero"):
+            entropy(pmf, 3)
+
     def test_untruncated_code_length_spec_cannot_be_sampled(self):
         with pytest.raises(ValueError, match="cannot sample .* without a truncation"):
             sample(MaxentSpec(4.0, CodeLength(26)), 1, 10)

@@ -57,11 +57,35 @@ def _write_output(text: str, path: str | None) -> None:
         raise
 
 
+def _cells(values: np.ndarray):
+    """str() of each cell, lazily, once per distinct bit pattern (0.0 == -0.0 prints apart)."""
+    bits = values.view(f"u{values.itemsize}")
+    _, first, where = np.unique(bits, return_index=True, return_inverse=True)
+    cells = list(map(str, values[first].tolist()))  # str(): shortest round-trip floats
+    return map(cells.__getitem__, where.tolist())
+
+
 def _table_text(header: tuple[str, ...], columns, fmt: str) -> str:
-    """The header line, then one line per row; `columns` hold the cells."""
+    """The header line, then one line per row; `columns` hold the cells as strings."""
     sep = _SEP[fmt]
-    line = sep.join(["%s"] * len(header))  # %s is str(): shortest round-trip floats
-    return "\n".join([sep.join(header), *map(line.__mod__, zip(*columns))]) + "\n"
+    return "\n".join([sep.join(header), *map(sep.join, zip(*columns))]) + "\n"
+
+
+def _rank_table_text(header: tuple[str, ...], values: np.ndarray, fmt: str) -> str:
+    """Rows `i, values[i - 1]`, i = 1..len(values), formatting each run of equal
+    values (a length block of a rank law) once and joining its rows in one call.
+    A run costs about as much as eight rows of the row path, which takes tables
+    of shorter runs (N = 1).  repr is str for ints and floats, and a cheaper call."""
+    sep, n = _SEP[fmt], len(values)
+    bits = values.view(f"u{values.itemsize}")
+    ends = np.append(np.flatnonzero(bits[1:] != bits[:-1]) + 1, n)
+    if 8 * len(ends) > n:
+        return _table_text(header, (map(repr, range(1, n + 1)), map(repr, values.tolist())), fmt)
+    starts, parts = [0, *ends[:-1].tolist()], [sep.join(header), "\n"]
+    for start, end, value in zip(starts, ends.tolist(), values[starts].tolist()):
+        row_end = f"{sep}{value}\n"
+        parts += (row_end.join(map(repr, range(start + 1, end + 1))), row_end)
+    return "".join(parts)
 
 
 def _json_text(payload: dict) -> str:
@@ -108,26 +132,21 @@ def _cmd_codes(args) -> str:
             "alphabet": list(alphabet.symbols),
             "codes": list(table.codes),
         })
-    ranks = range(1, table.size + 1)
+    ranks = map(str, range(1, table.size + 1))
     return _table_text(("rank", "code"), (ranks, table.codes), args.format)
 
 
 def _cmd_lengths(args) -> str:
     _check_size("--imax", args.imax)
-    ranks = np.arange(1, args.imax + 1)
-    lengths = codebook.code_length_for_rank(args.N, args.lmin, ranks)
-    return _table_text(("i", "l_i"), (ranks.tolist(), lengths.tolist()), args.format)
+    lengths = codebook.code_length_for_rank(args.N, args.lmin, np.arange(1, args.imax + 1))
+    return _rank_table_text(("i", "l_i"), lengths, args.format)
 
 
 def _cmd_figure(args) -> str:
     _check_size("--imax", args.imax)
     params = randtype.RandomTypingParams(args.N, args.ps, args.lmin)
-    ranks, probs = randtype.figure2_data(params, args.imax)
-    # One value per length block: format each distinct probability once.
-    values, where = np.unique(probs, return_inverse=True)
-    cells = [str(p) for p in values.tolist()]
-    column = map(cells.__getitem__, where.tolist())
-    return _table_text(("i", "p_i"), (ranks.tolist(), column), args.format)
+    probs = randtype.figure2_data(params, args.imax)[1]
+    return _rank_table_text(("i", "p_i"), probs, args.format)
 
 
 def _check_recoding_lmin(lmin: int) -> None:
@@ -229,7 +248,7 @@ def _cmd_analyze(args) -> str:
         table, codebook.Alphabet.from_string(args.alphabet), args.lmin
     )
     if args.table_out is not None:
-        columns = (table.types, table.frequencies.tolist(), table.magnitudes.tolist())
+        columns = (table.types, _cells(table.frequencies), _cells(table.magnitudes))
         tsv = _table_text(("type", "frequency", "magnitude"), columns, "tsv")
         _write_output(tsv, args.table_out)
     return _json_text({

@@ -14,8 +14,8 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import filterfalse, repeat
-from operator import methodcaller
+from itertools import compress, filterfalse, repeat
+from operator import is_, methodcaller
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -155,8 +155,13 @@ def _table_from_counts(
     order = np.argsort(-freqs, kind="stable")
     ordered = tuple(map(seen.__getitem__, order.tolist()))
     freqs = freqs[order]
-    sidecar = magnitudes or {}
-    mags = [float(sidecar[t]) if t in sidecar else measure(t) for t in ordered]
+    if magnitudes:
+        found = list(map(magnitudes.get, ordered))  # None where the sidecar has no entry
+        misses = list(compress(range(len(found)), map(is_, found, repeat(None))))
+        mags = np.array(found, dtype=float)
+        mags[misses] = np.fromiter(map(measure, map(ordered.__getitem__, misses)), float)
+    else:
+        mags = np.fromiter(map(measure, ordered), float, len(ordered))
     return FrequencyTable(ordered, freqs, mags, int(freqs.sum()))
 
 

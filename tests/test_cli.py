@@ -3,9 +3,11 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from optcoding import cli
+from optcoding.codebook import code_length_for_rank, string_count_through_length
 from optcoding.randtype import RandomTypingParams, figure2_data
 
 CLI = [sys.executable, "-m", "optcoding"]
@@ -105,6 +107,49 @@ class TestFigure:
                 "--imax", "700", "--format", fmt]
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == expected
+
+
+def last_block_end(n, lmin, limit=2000):
+    """S(l) of the longest length block that ends at or below `limit`."""
+    length = lmin
+    while string_count_through_length(n, lmin, length + 1) <= limit:
+        length += 1
+    return string_count_through_length(n, lmin, length)
+
+
+class TestRankTableBlocks:
+    """`lengths` and `figure` print the bytes of per-row formatting at and
+    around the ranks where one length block ends and the next begins."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 26])
+    @pytest.mark.parametrize("lmin", [0, 1])
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    @pytest.mark.parametrize("command", ["lengths", "figure"])
+    def test_bytes_match_per_row_reference(self, capsys, command, offset, fmt, lmin, n):
+        imax = 1 if offset is None else last_block_end(n, lmin) + offset
+        sep = "," if fmt == "csv" else "\t"
+        if command == "lengths":
+            header, flags = "l_i", []
+            values = [code_length_for_rank(n, lmin, i) for i in range(1, imax + 1)]
+        else:
+            header, flags = "p_i", ["--ps", "0.3"]
+            values = figure2_data(RandomTypingParams(n, 0.3, lmin), imax)[1].tolist()
+        rows = [f"{i}{sep}{v}" for i, v in enumerate(values, start=1)]
+        expected = "\n".join([f"i{sep}{header}", *rows]) + "\n"
+        argv = [command, "--N", str(n), "--lmin", str(lmin), "--imax", str(imax),
+                "--format", fmt, *flags]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("run", [1, 20])  # the row path and the block path
+    def test_signed_zeros_stay_apart(self, run):
+        # 0.0 == -0.0, so a table keyed or split by value would merge them
+        cells = ["0.0"] * run + ["-0.0"] * run + ["0.0"] * run
+        values = np.array(list(map(float, cells)))
+        rows = [f"{i},{c}" for i, c in enumerate(cells, start=1)]
+        assert cli._rank_table_text(("i", "v"), values, "csv") == "\n".join(["i,v", *rows]) + "\n"
+        assert list(cli._cells(values)) == cells
 
 
 class TestSimulate:

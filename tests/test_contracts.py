@@ -7,10 +7,12 @@ header line of each table, and the exact bytes of a frequency table.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
 from optcoding import cli
+from optcoding.randtype import RandomTypingParams, generate
 
 FIT_KEYS = ["schema", "family", "params", "log_likelihood", "n", "support"]
 
@@ -138,3 +140,19 @@ class TestTableOut:
             "cat\t1\t3.0\n"
             "flag\U0001F1EB\U0001F1F7\t1\t5.0\n"
         ).encode("utf-8")
+
+    @pytest.mark.parametrize("sidecar", [False, True])
+    def test_simulated_corpus_matches_per_row_reference(self, capsys, tmp_path, sidecar):
+        words = generate(RandomTypingParams(26, 0.18), 11, 20_000)
+        counts = Counter(words)
+        types = sorted(counts, key=counts.__getitem__, reverse=True)  # stable: first seen
+        # every other type a distinct float such as 1e-05 or 3.0000000000000004e-05
+        durations = {t: (k + 1) * 1e-05 for k, t in enumerate(types[::2])} if sidecar else {}
+        flags = []
+        if durations:
+            side = tmp_path / "durations.tsv"
+            side.write_text("".join(f"{t}\t{d!r}\n" for t, d in durations.items()))
+            flags = ["--magnitudes", str(side)]
+        rows = [f"{t}\t{counts[t]}\t{float(durations.get(t, len(t)))}" for t in types]
+        expected = "\n".join(["type\tfrequency\tmagnitude", *rows]) + "\n"
+        assert self.run(capsys, tmp_path, " ".join(words) + "\n", *flags) == expected.encode()

@@ -253,22 +253,10 @@ def brute_force_minimum(
         )
     if ms.size < V:
         raise ValueError(f"pool of {ms.size} magnitudes cannot cover {V} ranks")
-    p = dist.probs
     best = math.inf
-    chunk: list[tuple[float, ...]] = []
-
-    def flush() -> None:
-        nonlocal best
-        costs = g(np.array(chunk)) @ p
-        best = min(best, float(costs.min()))
-        chunk.clear()
-
-    for perm in itertools.permutations(ms.values.tolist(), V):
-        chunk.append(perm)
-        if len(chunk) >= 1 << 16:
-            flush()
-    if chunk:
-        flush()
+    perms = itertools.permutations(ms.values.tolist(), V)
+    while chunk := list(itertools.islice(perms, 1 << 16)):
+        best = min(best, float((g(np.array(chunk)) @ dist.probs).min()))
     return best
 
 

@@ -34,11 +34,8 @@ MAX_SIZE = 10**7
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # single-line diagnostic, exit 2
-        raise SystemExit(self._fail(message))
-
-    def _fail(self, message) -> int:
         print(f"{self.prog}: usage error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        raise SystemExit(EXIT_USAGE)
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -233,6 +230,7 @@ def _cmd_fit(args) -> str:
 
 def _cmd_analyze(args) -> str:
     _check_recoding_lmin(args.lmin)
+    alphabet = codebook.Alphabet.from_string(args.alphabet)
     text = corpus.read_text(args.input)
     magnitudes = (
         corpus.read_magnitudes(args.magnitudes) if args.magnitudes else None
@@ -244,9 +242,7 @@ def _cmd_analyze(args) -> str:
         magnitude="graphemes" if args.graphemes else "chars",
         magnitudes=magnitudes,
     )
-    report = corpus.analyze(
-        table, codebook.Alphabet.from_string(args.alphabet), args.lmin
-    )
+    report = corpus.analyze(table, alphabet, args.lmin)
     if args.table_out is not None:
         columns = (table.types, _cells(table.frequencies), _cells(table.magnitudes))
         tsv = _table_text(("type", "frequency", "magnitude"), columns, "tsv")
@@ -306,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-empty", action="store_true",
                    help="permit the empty string (needed for --lmin 0)")
     p.add_argument("--format", choices=("tsv", "csv", "json"), default="tsv")
-    p.add_argument("--output")
     p.set_defaults(run=_cmd_codes)
 
     p = sub.add_parser("lengths", help="length of the i-th string, i = 1..imax")
@@ -314,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lmin", type=int, default=1)
     p.add_argument("--imax", type=int, required=True, help=f"largest rank, at most {MAX_SIZE}")
     p.add_argument("--format", choices=("tsv", "csv"), default="tsv")
-    p.add_argument("--output")
     p.set_defaults(run=_cmd_lengths)
 
     p = sub.add_parser("figure", help="exact rank-probability series of random typing")
@@ -323,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lmin", type=int, default=1)
     p.add_argument("--imax", type=int, required=True, help=f"largest rank, at most {MAX_SIZE}")
     p.add_argument("--format", choices=("csv", "tsv"), default="csv")
-    p.add_argument("--output")
     p.set_defaults(run=_cmd_figure)
 
     p = sub.add_parser("simulate", help="generate a random-typing corpus and analyze it")
@@ -334,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bias", help="comma-separated letter probabilities (length N)")
     p.add_argument("--text-out", help="also write the generated corpus here")
-    p.add_argument("--output")
     p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser("fit", help="maximum-likelihood fit of rank distributions")
@@ -344,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=(*maxent.FAMILIES, "all"),
         default="all",
     )
-    p.add_argument("--output")
     p.set_defaults(run=_cmd_fit)
 
     p = sub.add_parser("analyze", help="corpus pipeline: table, tau, recoding, fits")
@@ -358,15 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphemes", action="store_true",
                    help="count grapheme clusters instead of characters")
     p.add_argument("--table-out", help="also write the frequency table TSV here")
-    p.add_argument("--output")
     p.set_defaults(run=_cmd_analyze)
 
     p = sub.add_parser("oracle", help="exhaustive cross-check of the sorted optimum")
     p.add_argument("--instances", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output")
     p.set_defaults(run=_cmd_oracle)
 
+    for p in sub.choices.values():  # last, so usage and help list it last
+        p.add_argument("--output")
     return parser
 
 
@@ -378,7 +369,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         text = args.run(args)
-        _write_output(text, getattr(args, "output", None))
+        _write_output(text, args.output)
     except ValueError as exc:
         print(f"optcoding: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -207,6 +207,12 @@ def code_length_for_rank(N: int, l_min: int, i):
         if not scalar and top + l_min - 1 >= 2**63:
             raise ValueError("code lengths beyond the int64 range")
         return ranks + (l_min - 1)
+    if l_min >= top.bit_length():  # N**l_min > top: every rank has length l_min
+        if scalar:
+            return l_min
+        if l_min >= 2**63:
+            raise ValueError("code lengths beyond the int64 range")
+        return np.full(ranks.shape, l_min, dtype=np.int64)
     bounds = [string_count_through_length(N, l_min, l_min)]
     while bounds[-1] < top:
         bounds.append(string_count_through_length(N, l_min, l_min + len(bounds)))

@@ -286,8 +286,6 @@ def frequency_spectrum(table: FrequencyTable) -> dict[int, int]:
 
 def rank_frequency_fit(table: FrequencyTable) -> tuple[maxent.FitResult, ...]:
     """Fit every rank-distribution family to the table, best likelihood first."""
-    if table.size < 2:
-        raise ValueError("rank-frequency fitting needs at least 2 types")
     observed = maxent.RankCounts(np.arange(1, table.size + 1), table.frequencies)
     return maxent.fit_ranked(observed, maxent.FAMILIES)
 

@@ -609,14 +609,11 @@ def fit_mle(observed, family: str) -> FitResult:
     families use bracketed numerical search.  Needs at least two distinct
     observed ranks.
     """
-    from scipy import optimize  # imported here: it is most of `import optcoding`
-
     observed = _as_rank_counts(observed)
     ranks, counts = observed.ranks, observed.counts
     if ranks.size < 2:
         raise ValueError("need at least 2 distinct observed ranks")
     n = int(counts.sum())
-    support = (int(ranks.min()), int(ranks.max()))
     rf = ranks.astype(float)
     cf = counts.astype(float)
 
@@ -625,10 +622,10 @@ def fit_mle(observed, family: str) -> FitResult:
         q = 1.0 / mean
         if not 0 < q < 1:
             raise ValueError("geometric MLE is degenerate for this data")
-        ll = n * math.log(q) + float((rf - 1.0) @ cf) * math.log1p(-q)
-        return FitResult("geometric", {"q": q}, ll, n, support)
+        params, ll = {"q": q}, n * math.log(q) + float((rf - 1.0) @ cf) * math.log1p(-q)
+    elif family in ("zeta", "zipf-mandelbrot"):
+        from scipy import optimize  # imported here: it is most of `import optcoding`
 
-    if family == "zeta":
         s = float(np.log(rf) @ cf)
         if s == 0.0:
             raise ValueError("all observations at rank 1: zeta MLE is degenerate")
@@ -640,28 +637,24 @@ def fit_mle(observed, family: str) -> FitResult:
             nll, bounds=(1.0 + 1e-9, 64.0), method="bounded",
             options={"xatol": 1e-10},
         )
-        alpha = float(res.x)
-        return FitResult("zeta", {"alpha": alpha}, -float(res.fun), n, support)
+        params, ll = {"alpha": float(res.x)}, -float(res.fun)
+        if family == "zipf-mandelbrot":
+            # rank r sits at support index r - 1: weight (r - 1 + b)^(-alpha)
+            def zm_nll(theta) -> float:
+                a, b = theta
+                return a * float(np.log(rf - 1.0 + b) @ cf) + n * _log_hurwitz_zeta(a, b)
 
-    if family == "zipf-mandelbrot":
-        # rank r sits at support index r - 1: weight (r - 1 + b)^(-alpha)
-        def nll(theta) -> float:
-            a, b = theta
-            return a * float(np.log(rf - 1.0 + b) @ cf) + n * _log_hurwitz_zeta(a, b)
-
-        start = fit_mle(observed, "zeta")
-        res = optimize.minimize(
-            nll,
-            x0=[start.params["alpha"], 1.0],
-            method="L-BFGS-B",
-            bounds=[(1.0 + 1e-6, 64.0), (1e-6, 1e6)],
-        )
-        alpha, b = (float(v) for v in res.x)
-        return FitResult(
-            "zipf-mandelbrot", {"alpha": alpha, "b": b}, -float(res.fun), n, support
-        )
-
-    raise ValueError(f"unknown family {family!r}")
+            res = optimize.minimize(
+                zm_nll,
+                x0=[params["alpha"], 1.0],
+                method="L-BFGS-B",
+                bounds=[(1.0 + 1e-6, 64.0), (1e-6, 1e6)],
+            )
+            alpha, b = (float(v) for v in res.x)
+            params, ll = {"alpha": alpha, "b": b}, -float(res.fun)
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return FitResult(family, params, ll, n, (int(ranks[0]), int(ranks[-1])))
 
 
 def fit_ranked(observed, families) -> tuple[FitResult, ...]:

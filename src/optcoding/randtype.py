@@ -78,21 +78,28 @@ def _require_uniform(params: RandomTypingParams) -> None:
         )
 
 
+def _stop_power(params: RandomTypingParams) -> float:
+    """(1 - p_s)^l_min, which every word probability divides p_s by; ValueError
+    unless p_s over it is a finite positive float."""
+    power = (1.0 - params.p_s) ** params.l_min
+    if power == 0.0 or math.isinf(params.p_s / power):
+        raise ValueError(f"p_s / (1 - p_s)**l_min overflows a float at "
+                         f"p_s = {params.p_s!r}, l_min = {params.l_min}")
+    return power
+
+
 def word_probability(params: RandomTypingParams, l: int) -> float:
     """Probability of one specific word of length l:
     ((1 - p_s) / N)^l * p_s / (1 - p_s)^l_min."""
     _require_uniform(params)
     if l < params.l_min:
         raise ValueError(f"word length {l} is below l_min={params.l_min}")
-    return ((1.0 - params.p_s) / params.N) ** l * params.p_s / (
-        1.0 - params.p_s
-    ) ** params.l_min
+    return ((1.0 - params.p_s) / params.N) ** l * params.p_s / _stop_power(params)
 
 
 def rank_probability(params: RandomTypingParams, i: int) -> float:
     """Probability of the rank-i word: the word-probability law evaluated at
     the enumeration length of rank i."""
-    _require_uniform(params)
     length = codebook.code_length_for_rank(params.N, params.l_min, i)
     return word_probability(params, length)
 
@@ -105,7 +112,7 @@ def rank_probabilities(params: RandomTypingParams, i_max: int) -> np.ndarray:
     lengths = codebook.code_length_for_rank(
         params.N, params.l_min, np.arange(1, i_max + 1)
     )
-    scale = params.p_s / (1.0 - params.p_s) ** params.l_min
+    scale = params.p_s / _stop_power(params)
     return scale * ((1.0 - params.p_s) / params.N) ** lengths
 
 
@@ -169,14 +176,10 @@ def generate(params: RandomTypingParams, seed, n_words: int) -> list[str]:
         codes = rng.integers(0, params.N, letters)
     else:
         codes = rng.choice(params.N, size=letters, p=params.letter_bias)
-    # The letters with one space after each word: split(" ") keeps the empty
-    # words of l_min = 0, where split() would drop them.
-    spaces = np.cumsum(lengths) + np.arange(n_words)
-    is_letter = np.ones(letters + n_words, dtype=bool)
-    is_letter[spaces] = False
-    text = np.full(letters + n_words, ord(" "), dtype=np.uint8)
-    text[is_letter] = codes + ord("a")
-    return text[:-1].tobytes().decode("ascii").split(" ")
+    # The letters with a space between words: split(" ") keeps the empty
+    # words of l_min = 0 (repeated insert positions), where split() would drop them.
+    text = np.insert((codes + ord("a")).astype(np.uint8), np.cumsum(lengths)[:-1], ord(" "))
+    return text.tobytes().decode("ascii").split(" ")
 
 
 def word_ranks(params: RandomTypingParams, words) -> np.ndarray:
@@ -297,7 +300,5 @@ def figure2_data(
     The series is a step function: plateaus span the rank blocks that share
     a length, with boundaries at the cumulative string counts.
     """
-    if i_max < 1:
-        raise ValueError("i_max must be >= 1")
-    ranks = np.arange(1, i_max + 1, dtype=np.int64)
-    return ranks, rank_probabilities(params, i_max)
+    probs = rank_probabilities(params, i_max)
+    return np.arange(1, i_max + 1, dtype=np.int64), probs

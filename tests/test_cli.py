@@ -67,6 +67,35 @@ class TestLengths:
     def test_invalid_alphabet_size(self):
         assert run("lengths", "--N", "0", "--imax", "5").returncode == 3
 
+    def test_large_lmin_is_every_length(self):
+        out = run("lengths", "--N", "2", "--lmin", "1000000", "--imax", "3", timeout=30)
+        assert out.stdout == "i\tl_i\n1\t1000000\n2\t1000000\n3\t1000000\n"
+
+
+def one_line_error(*args):
+    """Run a command that must fail within seconds with a one-line diagnostic."""
+    res = run(*args, timeout=30)
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr, res.stderr
+    assert res.stdout == ""
+    return res
+
+
+class TestLargeLmin:
+    # N**l_min as an exact integer hung these commands; a scale past the
+    # float range printed nan (or raised ZeroDivisionError) in `figure`
+    @pytest.mark.parametrize("argv", [
+        ("lengths", "--N", "2", "--imax", "3"),
+        ("figure", "--N", "2", "--ps", "0.5", "--imax", "3"),
+        ("codes", "--alphabet", "ab", "--ranks", "3"),
+    ], ids=lambda argv: argv[0])
+    def test_lmin_past_int64_is_a_domain_error(self, argv):
+        assert one_line_error(*argv, "--lmin", str(10**19)).returncode == 3
+
+    @pytest.mark.parametrize("lmin", ["1030", "2000"])
+    def test_figure_scale_past_the_float_range(self, lmin):
+        res = one_line_error("figure", "--N", "2", "--ps", "0.5", "--lmin", lmin, "--imax", "3")
+        assert res.returncode == 3 and "overflows a float" in res.stderr
+
 
 class TestFigure:
     def test_csv_contract(self):
@@ -363,6 +392,11 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "--lmin" in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [text]
+
+    def test_alphabet_checked_before_reading(self, tmp_path):
+        res = one_line_error("analyze", "--input", str(tmp_path / "missing.txt"),
+                             "--alphabet", "aa")
+        assert res.returncode == 3 and "distinct" in res.stderr
 
     def test_magnitude_sidecar(self, tmp_path):
         text = tmp_path / "corpus.txt"

@@ -188,6 +188,24 @@ class TestLengthForRank:
         if n > 1:  # a scalar rank beyond int64 stays exact
             assert code_length_for_rank(n, l_min, big) == len(nth_string(alphabet, l_min, big))
 
+    @pytest.mark.parametrize("n", [2, 3, 26])
+    @pytest.mark.parametrize("l_min", [10**6, 2**63 - 1])
+    def test_lmin_past_every_rank_is_every_length(self, n, l_min):
+        # N**l_min exceeds every rank, so no block bound is computed
+        lengths = code_length_for_rank(n, l_min, np.array([1, 2, 2**62]))
+        assert lengths.dtype == np.int64 and lengths.tolist() == [l_min] * 3
+        assert code_length_for_rank(n, 10**19, 2**70) == 10**19
+        with pytest.raises(ValueError, match="int64"):
+            code_length_for_rank(n, 2**63, np.array([1, 3]))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_lmin_at_the_rank_bit_length(self, n):
+        for l_min in range(1, 14):
+            ranks = [1, 2**l_min - 1, n**l_min, n**l_min + 1]
+            expect = [len(nth_string(Alphabet.latin(n), l_min, i)) for i in ranks]
+            assert code_length_for_rank(n, l_min, np.array(ranks)).tolist() == expect
+            assert [code_length_for_rank(n, l_min, i) for i in ranks] == expect
+
     def test_array_edge_cases(self):
         assert code_length_for_rank(2, 1, np.array([], dtype=np.int64)).dtype == np.int64
         with pytest.raises(ValueError):

@@ -567,20 +567,31 @@ class TestTailInversion:
 
 
 class TestLazyOptimizeImport:
-    def test_import_leaves_scipy_optimize_out_until_a_fit(self):
+    @staticmethod
+    def fit_in_a_new_process(family: str, key: str, loads_optimize: bool) -> float:
+        """params[key] of a fit_mle in a new interpreter, which asserts that
+        `import optcoding` leaves scipy.optimize out and the fit loads it iff asked."""
         script = (
             "import sys\n"
             "import optcoding\n"
             "assert 'scipy.optimize' not in sys.modules\n"
-            "fit = optcoding.maxent.fit_mle({1: 70, 2: 20, 3: 10}, 'zeta')\n"
-            "assert 'scipy.optimize' in sys.modules\n"
-            "print(fit.params['alpha'])\n"
+            f"fit = optcoding.maxent.fit_mle({{1: 70, 2: 20, 3: 10}}, {family!r})\n"
+            f"assert ('scipy.optimize' in sys.modules) is {loads_optimize}\n"
+            f"print(fit.params[{key!r}])\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, env=env, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert float(out.stdout) == fit_mle({1: 70, 2: 20, 3: 10}, "zeta").params["alpha"]
+        return float(out.stdout)
+
+    def test_import_leaves_scipy_optimize_out_until_a_fit(self):
+        alpha = self.fit_in_a_new_process("zeta", "alpha", True)
+        assert alpha == fit_mle({1: 70, 2: 20, 3: 10}, "zeta").params["alpha"]
+
+    def test_geometric_fit_leaves_scipy_optimize_out(self):
+        q = self.fit_in_a_new_process("geometric", "q", False)
+        assert q == fit_mle({1: 70, 2: 20, 3: 10}, "geometric").params["q"]
 
 
 class TestFitting:

@@ -103,6 +103,25 @@ class TestWordProbability:
         with pytest.raises(ValueError):
             word_probability(RandomTypingParams(2, 0.5, 2), 1)
 
+    @pytest.mark.parametrize("l_min", [1030, 2000, 10**6])
+    def test_scale_past_the_float_range_is_a_value_error(self, l_min):
+        # p_s / (1 - p_s)**l_min is inf at 1030 (and 0.5**2000 is 0.0): the
+        # table was nan, or the division raised ZeroDivisionError
+        params = RandomTypingParams(2, 0.5, l_min)
+        with pytest.raises(ValueError, match="overflows a float"):
+            word_probability(params, l_min)
+        with pytest.raises(ValueError, match="overflows a float"):
+            rank_probabilities(params, 3)
+
+    def test_largest_finite_scale_is_accepted(self):
+        # 0.5 / 0.5**1024 = 2**1023, the largest power of two that is a float;
+        # unary rank 1 has length l_min and probability p_s
+        params = RandomTypingParams(1, 0.5, 1024)
+        assert rank_probabilities(params, 2).tolist() == [0.5, 0.25]
+        assert word_probability(params, 1024) == 0.5
+        with pytest.raises(ValueError, match="overflows a float"):
+            rank_probabilities(RandomTypingParams(1, 0.5, 1025), 2)
+
 
 class TestRankProbability:
     def test_fourth_rank_binary(self):

@@ -1,78 +1,11 @@
 """Optimal coding under given magnitudes, non-singular code construction,
 maximum-entropy rank distributions, random typing, and corpus analysis."""
 
-from .assign import (
-    Assignment,
-    CostFunction,
-    MagnitudeMultiset,
-    RankedDistribution,
-    brute_force_minimum,
-    is_optimal,
-    kendall_tau,
-    mean_cost,
-    optimal_assignment,
-    pair_counts,
-    pearson_r,
-    unconstrained_optimum,
-)
-from .codebook import (
-    Alphabet,
-    CodeClass,
-    CodeTable,
-    classify,
-    code_length_for_rank,
-    mean_code_length,
-    nth_string,
-    optimal_nonsingular_code,
-    rank_of_string,
-    segmentations,
-    string_count_through_length,
-    uniquely_decodable_lengths,
-)
-from .corpus import (
-    AnalysisReport,
-    FrequencyTable,
-    abbreviation_analysis,
-    analyze,
-    build_table,
-    frequency_spectrum,
-    optimal_recoding,
-    rank_frequency_fit,
-    table_from_tokens,
-    tokenize,
-)
-from .maxent import (
-    CodeLength,
-    EntropyValue,
-    FitResult,
-    GeometricParams,
-    LinearLength,
-    LogLength,
-    MaxentSpec,
-    RankCounts,
-    ZetaParams,
-    ZipfMandelbrotParams,
-    entropy,
-    fit_mle,
-    geometric_pmf,
-    hurwitz_zeta,
-    maxent_pmf,
-    riemann_zeta,
-    sample,
-    zeta_pmf,
-    zipf_mandelbrot_pmf,
-)
-from .randtype import (
-    AbbreviationLaw,
-    RandomTypingParams,
-    abbreviation_law,
-    figure2_data,
-    generate,
-    rank_probabilities,
-    rank_probability,
-    verify_optimality,
-    word_probability,
-    word_ranks,
-)
+# Each library module's `__all__` is the one list of its public names.
+from .assign import *
+from .codebook import *
+from .corpus import *
+from .maxent import *
+from .randtype import *
 
 __version__ = "0.1.0"

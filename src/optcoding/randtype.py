@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import string
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,42 +79,42 @@ def _require_uniform(params: RandomTypingParams) -> None:
         )
 
 
-def _stop_power(params: RandomTypingParams) -> float:
-    """(1 - p_s)^l_min, which every word probability divides p_s by; ValueError
-    unless p_s over it is a finite positive float."""
-    power = (1.0 - params.p_s) ** params.l_min
+def _scale(params: RandomTypingParams) -> float:
+    """p_s / (1 - p_s)^l_min, the word law's factor; ValueError unless it is a
+    finite float (so l_min is in the float range and the power not 0.0)."""
+    power = (1.0 - params.p_s) ** params.l_min if params.l_min <= sys.float_info.max else 0.0
     if power == 0.0 or math.isinf(params.p_s / power):
         raise ValueError(f"p_s / (1 - p_s)**l_min overflows a float at "
                          f"p_s = {params.p_s!r}, l_min = {params.l_min}")
-    return power
+    return params.p_s / power
 
 
-def word_probability(params: RandomTypingParams, l: int) -> float:
-    """Probability of one specific word of length l:
-    ((1 - p_s) / N)^l * p_s / (1 - p_s)^l_min."""
+def word_probability(params: RandomTypingParams, l):
+    """Probability of one specific word of length l, an int (giving a float)
+    or an int array: p_s (1 - p_s)^(l - l_min) / N^l = scale * ((1 - p_s) / N)^l.
+    Both forms take one array power, so they agree bit for bit (numpy squares
+    a lone exponent 2 exactly, where the array power may differ)."""
     _require_uniform(params)
-    if l < params.l_min:
-        raise ValueError(f"word length {l} is below l_min={params.l_min}")
-    return ((1.0 - params.p_s) / params.N) ** l * params.p_s / _stop_power(params)
+    scale = _scale(params)
+    if (shortest := np.min(l)) < params.l_min:
+        raise ValueError(f"word length {shortest} is below l_min={params.l_min}")
+    if np.max(l) > sys.float_info.max:
+        raise ValueError("word length overflows a float")
+    probs = scale * ((1.0 - params.p_s) / params.N) ** np.atleast_1d(l)
+    return probs if np.ndim(l) else float(probs[0])
 
 
-def rank_probability(params: RandomTypingParams, i: int) -> float:
-    """Probability of the rank-i word: the word-probability law evaluated at
-    the enumeration length of rank i."""
-    length = codebook.code_length_for_rank(params.N, params.l_min, i)
-    return word_probability(params, length)
+def rank_probability(params: RandomTypingParams, i):
+    """Probability of the rank-i word, for a rank or an int array of ranks: the
+    word law at the enumeration length of rank i."""
+    return word_probability(params, codebook.code_length_for_rank(params.N, params.l_min, i))
 
 
 def rank_probabilities(params: RandomTypingParams, i_max: int) -> np.ndarray:
     """Vector of rank probabilities for ranks 1..i_max."""
-    _require_uniform(params)
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
-    lengths = codebook.code_length_for_rank(
-        params.N, params.l_min, np.arange(1, i_max + 1)
-    )
-    scale = params.p_s / _stop_power(params)
-    return scale * ((1.0 - params.p_s) / params.N) ** lengths
+    return rank_probability(params, np.arange(1, i_max + 1))
 
 
 def _log_probability_ratios(params: RandomTypingParams, lengths: np.ndarray) -> np.ndarray:
@@ -146,7 +147,7 @@ def abbreviation_law(params: RandomTypingParams) -> AbbreviationLaw:
     """Constants of the exact length-vs-log-probability line."""
     _require_uniform(params)
     a = 1.0 / math.log((1.0 - params.p_s) / params.N)
-    b_const = a * math.log((1.0 - params.p_s) ** params.l_min / params.p_s)
+    b_const = -a * math.log(_scale(params))
     return AbbreviationLaw(a, b_const)
 
 
@@ -216,12 +217,11 @@ _FAILURES = {
 
 
 def _shortest_in_order(N: int, l_min: int, lengths: np.ndarray) -> bool:
-    """True iff the (nonnegative int) lengths never decrease and are, as a
-    multiset, the len(lengths) shortest string lengths >= l_min over N symbols."""
-    shortest = np.array([0] * l_min + codebook.block_counts(N, l_min, lengths.size))
-    return bool(np.all(lengths[:-1] <= lengths[1:])) and np.array_equal(
-        np.bincount(lengths), shortest
-    )
+    """True iff the int lengths start at l_min or above, never decrease and are,
+    as a multiset, the len(lengths) shortest string lengths >= l_min over N symbols."""
+    in_order = lengths[0] >= l_min and bool(np.all(lengths[:-1] <= lengths[1:]))
+    return in_order and np.array_equal(np.bincount(lengths - l_min),
+                                       codebook.block_counts(N, l_min, lengths.size))
 
 
 def _uses_every_string(N: int, l_min: int, top: int, blocks) -> bool:
@@ -237,10 +237,14 @@ def _uses_every_string(N: int, l_min: int, top: int, blocks) -> bool:
         if np.any(digits < 0) or np.any(digits >= N):
             return False
         if count > 1:  # distinct: no two neighbours are equal once sorted
-            if length == 0:
+            # on the positions that vary (none: all rows equal); the compare
+            # is laid out along the longer axis, so `any` runs in long loops
+            differs = np.not_equal(digits, digits[0], order="F" if count > length else "C")
+            keys = digits.T[differs.any(axis=0)]
+            if not len(keys):
                 return False
-            rows = digits[np.lexsort(digits.T[::-1])]
-            if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
+            ordered = np.take(keys, np.lexsort(keys), axis=1)
+            if np.any(np.all(ordered[:, 1:] == ordered[:, :-1], axis=0)):
                 return False
     return True
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -103,15 +104,26 @@ class TestWordProbability:
         with pytest.raises(ValueError):
             word_probability(RandomTypingParams(2, 0.5, 2), 1)
 
-    @pytest.mark.parametrize("l_min", [1030, 2000, 10**6])
+    @pytest.mark.parametrize("l_min", [1030, 2000, 10**6, pytest.param(10**400, id="1e400")])
     def test_scale_past_the_float_range_is_a_value_error(self, l_min):
         # p_s / (1 - p_s)**l_min is inf at 1030 (and 0.5**2000 is 0.0): the
-        # table was nan, or the division raised ZeroDivisionError
+        # table was nan, or the division raised ZeroDivisionError; 10**400
+        # is past the float range itself, where float ** int raised
+        # OverflowError, and abbreviation_law took log(0.0) from 10**6 on
         params = RandomTypingParams(2, 0.5, l_min)
         with pytest.raises(ValueError, match="overflows a float"):
             word_probability(params, l_min)
         with pytest.raises(ValueError, match="overflows a float"):
+            rank_probability(params, 1)
+        with pytest.raises(ValueError, match="overflows a float"):
+            abbreviation_law(params)
+        # past int64 the array of lengths is refused before the scale
+        with pytest.raises(ValueError, match="overflows a float" if l_min < 2**63 else "int64"):
             rank_probabilities(params, 3)
+
+    def test_length_past_the_float_range_is_a_value_error(self):
+        with pytest.raises(ValueError, match="overflows a float"):
+            word_probability(RandomTypingParams(2, 0.5, 1), 10**400)
 
     def test_largest_finite_scale_is_accepted(self):
         # 0.5 / 0.5**1024 = 2**1023, the largest power of two that is a float;
@@ -146,9 +158,18 @@ class TestRankProbability:
         )
 
     def test_vectorized_matches_scalar(self):
-        probs = rank_probabilities(MILLER, 200)
-        for i in (1, 2, 26, 27, 100, 200):
-            assert probs[i - 1] == rank_probability(MILLER, i)
+        # bit for bit: at N = 3, p_s = 0.5 numpy's power of a lone exponent 2
+        # and its array power differ in the last bit
+        ranks = np.arange(1, 201, dtype=np.int64)
+        for n, l_min, p_s in itertools.product([1, 2, 3, 26], [0, 1, 3], [0.18, 0.5]):
+            params = RandomTypingParams(n, p_s, l_min)
+            lengths = code_length_for_rank(n, l_min, ranks)
+            probs = rank_probabilities(params, 200)
+            assert rank_probability(params, ranks).tobytes() == probs.tobytes()
+            assert word_probability(params, lengths).tobytes() == probs.tobytes()
+            assert [rank_probability(params, i) for i in ranks.tolist()] == probs.tolist()
+            assert [word_probability(params, l) for l in lengths.tolist()] == probs.tolist()
+        assert type(rank_probability(MILLER, 1)) is float
 
     def test_nonincreasing(self):
         probs = rank_probabilities(BINARY, 500)
@@ -371,6 +392,33 @@ class TestVerifyOptimality:
         out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, check=True)
         assert int(out.stdout) < 300
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+    def test_long_minimum_length_runs_in_bounded_memory(self):
+        # Five strings of 300,000 letters: a sort key per letter position
+        # peaked near 830 MB, and the length check built l_min zeros; the
+        # child reports its own VmHWM, as above
+        script = (
+            "import re\n"
+            "from optcoding.randtype import RandomTypingParams, verify_optimality\n"
+            "report = verify_optimality(RandomTypingParams(2, 0.5, 3 * 10**5), 5)\n"
+            "assert report.passed and len(report.checks) == 4, report\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(int(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1)) // 1024)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert int(out.stdout) < 200
+
+    @pytest.mark.parametrize("blocks, distinct", [
+        ([np.zeros((2, 0), np.uint8)], False),  # the empty string twice
+        ([np.zeros((2, 3), np.uint8)], False),  # no position varies
+        ([np.array([[0, 1, 1], [0, 1, 0]], np.uint8)], True),
+        ([np.array([[1, 0, 1], [0, 1, 0], [1, 0, 1]], np.uint8)], False),
+    ])
+    def test_distinct_rows_need_a_varying_position(self, blocks, distinct):
+        length = blocks[0].shape[1]
+        assert randtype._uses_every_string(2, length, length, blocks) == distinct
 
     @pytest.mark.parametrize("n", [1, 30, 64])
     def test_every_alphabet_size_reports_all_four_checks(self, n):

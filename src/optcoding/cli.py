@@ -258,8 +258,7 @@ def _cmd_analyze(args) -> str:
 
 
 def _cmd_oracle(args) -> str:
-    if args.instances < 1:
-        raise ValueError("--instances must be >= 1")
+    _check_size("--instances", args.instances)
     rng = np.random.default_rng(args.seed)
     costs = [
         assign.CostFunction.identity(),
@@ -377,7 +376,3 @@ def main(argv=None) -> int:
         print(f"optcoding: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

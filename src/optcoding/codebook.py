@@ -227,8 +227,6 @@ def nth_string(alphabet: Alphabet, l_min: int, i: int) -> str:
     """The i-th string of length >= l_min, ordered by length then lexicographically."""
     N = alphabet.size
     length = code_length_for_rank(N, l_min, i)
-    if length == 0:
-        return ""
     if N == 1:
         return alphabet.symbols[0] * length
     offset = i - 1 - string_count_through_length(N, l_min, length - 1)
@@ -450,8 +448,6 @@ def segmentations(
     stack: list[int] = []
 
     def walk(pos: int) -> None:
-        if len(out) >= cap:
-            return
         if pos == len(message):
             out.append(tuple(stack))
             return

@@ -122,28 +122,22 @@ def _log_hurwitz_zeta(alpha: float, b: float) -> float:
     """log hurwitz_zeta(alpha, b), also where the sum itself leaves the float range.
 
     Where the sum is a normal float this is math.log of it, bit for bit.
-    Otherwise (inf, or below the smallest normal float) the same head and
-    tail terms are summed relative to the largest one, in log space.
+    Otherwise (inf, or below the smallest normal float) it is
+    -alpha log b + log S, where S is the same head and tail divided by the
+    first term b^-alpha.  Each of its M head terms is at most 1 and the
+    first is 1, so S lies between about 1/2 and M + 1 + (M + b) / (alpha - 1):
+    well inside the float range.
     """
     z = hurwitz_zeta(alpha, b)
     if sys.float_info.min <= z < math.inf:
         return math.log(z)
-    alpha = float(alpha)
-    b = float(b)
+    alpha, b = float(alpha), float(b)
     m = _head_length(alpha, b)
-    lx = math.log(m + b)
-    logs = np.concatenate([
-        -alpha * np.log(np.arange(m) + b),
-        [
-            (1 - alpha) * lx - math.log(alpha - 1),
-            math.log(0.5) - alpha * lx,
-            math.log(alpha / 12.0) - (alpha + 1) * lx,
-        ],
-    ])
-    correction = math.log(alpha * (alpha + 1) * (alpha + 2) / 720.0) - (alpha + 3) * lx
-    top = float(logs.max())
-    scaled = float(np.sum(np.exp(logs - top))) - math.exp(correction - top)
-    return top + math.log(scaled)
+    x = m + b
+    head = float(np.sum((1.0 + np.arange(m) / b) ** -alpha))
+    corrections = alpha / (12.0 * x) - alpha * (alpha + 1) * (alpha + 2) / (720.0 * x**3)
+    tail = (x / b) ** -alpha * (x / (alpha - 1) + 0.5 + corrections)
+    return -alpha * math.log(b) + math.log(head + tail)
 
 
 def riemann_zeta(alpha: float) -> float:
@@ -434,10 +428,7 @@ def _power_family_ranks(alpha: float, b: float, u: np.ndarray) -> np.ndarray:
     settled = [
         _settle_rank(alpha, b, t, int(g)) for t, g in zip(targets.tolist(), guesses)
     ]
-    if max(settled) < 2**63:
-        ranks[tail] = settled
-        return ranks
-    out = ranks.astype(object)
+    out = ranks if max(settled) < 2**63 else ranks.astype(object)
     out[tail] = settled
     return out
 
@@ -627,8 +618,6 @@ def fit_mle(observed, family: str) -> FitResult:
         from scipy import optimize  # imported here: it is most of `import optcoding`
 
         s = float(np.log(rf) @ cf)
-        if s == 0.0:
-            raise ValueError("all observations at rank 1: zeta MLE is degenerate")
 
         def nll(a: float) -> float:
             return a * s + n * math.log(riemann_zeta(a))

@@ -10,7 +10,6 @@ provides those closed forms, a seeded generator, and the optimality check.
 from __future__ import annotations
 
 import math
-import string
 import sys
 from dataclasses import dataclass
 
@@ -31,8 +30,6 @@ __all__ = [
     "verify_optimality",
     "figure2_data",
 ]
-
-_LETTERS = string.ascii_lowercase
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,14 +90,23 @@ def word_probability(params: RandomTypingParams, l):
     """Probability of one specific word of length l, an int (giving a float)
     or an int array: p_s (1 - p_s)^(l - l_min) / N^l = scale * ((1 - p_s) / N)^l.
     Both forms take one array power, so they agree bit for bit (numpy squares
-    a lone exponent 2 exactly, where the array power may differ)."""
+    a lone exponent 2 exactly, where the array power may differ).  Where
+    ((1 - p_s) / N)^l is below the smallest normal float, the law is taken
+    as (p_s N^-l_min) ((1 - p_s) / N)^(l - l_min) instead, whose factors are
+    no smaller than the probability, unless N^l_min leaves the float range."""
     _require_uniform(params)
     scale = _scale(params)
     if (shortest := np.min(l)) < params.l_min:
         raise ValueError(f"word length {shortest} is below l_min={params.l_min}")
     if np.max(l) > sys.float_info.max:
         raise ValueError("word length overflows a float")
-    probs = scale * ((1.0 - params.p_s) / params.N) ** np.atleast_1d(l)
+    ratio, lengths = (1.0 - params.p_s) / params.N, np.atleast_1d(l)
+    power = ratio ** lengths
+    probs = scale * power
+    low = np.flatnonzero(power < sys.float_info.min)
+    if low.size and params.l_min * math.log(params.N) < 709:  # N^l_min < e^709
+        head = params.p_s * float(params.N) ** -params.l_min
+        probs[low] = head * ratio ** (lengths[low] - params.l_min)
     return probs if np.ndim(l) else float(probs[0])
 
 
@@ -161,8 +167,7 @@ def generate(params: RandomTypingParams, seed, n_words: int) -> list[str]:
     """
     if n_words < 1:
         raise ValueError("n_words must be >= 1")
-    if params.N > len(_LETTERS):
-        raise ValueError("generator uses lowercase latin letters; needs N <= 26")
+    codebook.Alphabet.latin(params.N)  # rejects N > 26
     rng = np.random.default_rng(seed)
     lengths = rng.geometric(params.p_s, n_words)
     # Counted in a float and Python ints: int64 draws saturate at 2**63 - 1 for

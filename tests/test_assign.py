@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -114,6 +115,46 @@ class TestRankedDistribution:
         d = dist(0.5, 0.5)
         with pytest.raises(ValueError):
             d.probs[0] = 0.9
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: RankedDistribution(np.ones((1, 1))), "probs must be a nonempty 1-D vector"),
+        (lambda: RankedDistribution([]), "probs must be a nonempty 1-D vector"),
+        (lambda: RankedDistribution([math.nan]), "probs must be finite"),
+        (lambda: RankedDistribution.from_weights([[1.0]]), "weights must be a nonempty 1-D vector"),
+        (lambda: RankedDistribution.from_weights([]), "weights must be a nonempty 1-D vector"),
+        (lambda: RankedDistribution.from_weights([1.0, -1.0]),
+         "weights must be finite and nonnegative"),
+        (lambda: RankedDistribution.from_weights([1.0, math.inf]),
+         "weights must be finite and nonnegative"),
+        (lambda: RankedDistribution.from_weights([0.0, 0.0]), "weights must not all be zero"),
+        (lambda: MagnitudeMultiset(np.ones((1, 1))),
+         "magnitude multiset must be a nonempty 1-D vector"),
+        (lambda: MagnitudeMultiset([]), "magnitude multiset must be a nonempty 1-D vector"),
+        (lambda: MagnitudeMultiset([1.0, math.nan]), "magnitudes must be finite"),
+        (lambda: Assignment(np.ones((1, 1))), "expected a nonempty 1-D vector"),
+        (lambda: Assignment([]), "expected a nonempty 1-D vector"),
+        (lambda: Assignment([1.0, math.inf]), "values must be finite"),
+        (lambda: Assignment([1.0, -1.0]), "assigned magnitudes must be nonnegative"),
+        (lambda: CostFunction("identity", 1.0), "identity cost takes no parameter"),
+        (lambda: brute_force_minimum(dist(0.5, 0.5), pool(1.0), IDENTITY),
+         "pool of 1 magnitudes cannot cover 2 ranks"),
+        (lambda: pearson_r([0.5, 0.5], [1.0, 2.0, 3.0]),
+         "pearson_r needs two equal-length vectors of size >= 2"),
+        (lambda: pearson_r([[0.5, 0.5]], [[1.0, 2.0]]),
+         "pearson_r needs two equal-length vectors of size >= 2"),
+        (lambda: pearson_r([1.0], [2.0]), "pearson_r needs two equal-length vectors of size >= 2"),
+    ])
+    def test_rejected_with_its_message(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_sizes_and_iteration(self):
+        assert len(dist(0.5, 0.3, 0.2)) == 3
+        assert len(pool(2.0, 1.0)) == 2
+        assert len(asg(1, 2)) == 2
+        assert list(asg(1, 2)) == [1.0, 2.0]
 
 
 class TestCostFunction:

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from optcoding import cli
+from optcoding import cli, maxent
 from optcoding.codebook import code_length_for_rank, string_count_through_length
 from optcoding.randtype import RandomTypingParams, figure2_data
 
@@ -45,6 +51,10 @@ class TestCodes:
                    "--allow-empty")
         assert good.stdout.splitlines()[1] == "1\t"
 
+
+    def test_no_ranks_is_a_domain_error(self, capsys):
+        assert cli.main(["codes", "--alphabet", "ab", "--ranks", "0"]) == 3
+        assert capsys.readouterr() == ("", "optcoding: error: --ranks must be >= 1\n")
 
     @pytest.mark.parametrize("alphabet", ["ab", "a"])
     def test_table_too_large_to_build_is_a_domain_error(self, tmp_path, alphabet):
@@ -121,6 +131,14 @@ class TestFigure:
 
     def test_domain_validation(self):
         assert run("figure", "--N", "2", "--ps", "1.5", "--imax", "5").returncode == 3
+
+    def test_power_below_the_normal_range_prints_the_probability(self, capsys):
+        # ((1 - p_s) / N)**l is 0.0 or subnormal here; these rows printed 0.0
+        assert cli.main(["figure", "--N", "1", "--ps", "0.5", "--lmin", "1000", "--imax", "80"]) == 0
+        rows = [f"{i},{2.0**-i}" for i in range(1, 81)]
+        assert capsys.readouterr().out == "\n".join(["i,p_i", *rows]) + "\n"
+        assert cli.main(["figure", "--N", "2", "--ps", "0.5", "--lmin", "1000", "--imax", "1"]) == 0
+        assert capsys.readouterr().out == f"i,p_i\n1,{0.5 * 2.0**-1000}\n"
 
 
     @pytest.mark.parametrize("n", [1, 2, 3, 26])
@@ -231,6 +249,13 @@ class TestSimulate:
         assert "--lmin" in res.stderr and "Traceback" not in res.stderr
         assert not text_path.exists()
 
+    def test_alphabet_past_the_latin_letters(self, tmp_path, capsys):
+        text_path = tmp_path / "typed.txt"
+        assert cli.main(["simulate", "--N", "27", "--ps", "0.5", "--words", "10",
+                         "--text-out", str(text_path)]) == 3
+        assert capsys.readouterr() == ("", "optcoding: error: latin alphabet supports 1..26 symbols\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_bias_flag(self):
         out = run("simulate", "--N", "2", "--ps", "0.5", "--words", "200",
                   "--seed", "3", "--bias", "0.9,0.1")
@@ -311,6 +336,17 @@ class TestFit:
             cli._read_rank_counts(data)
         assert cli.main(["fit", "--input", str(data)]) == 3
         assert capsys.readouterr() == ("", f"optcoding: error: {message}\n")
+
+    @pytest.mark.parametrize("rows, message", [
+        ("1\t10\t3\n2\t5\n", "{path}:1: expected `rank<TAB>count`"),
+        ("1\t10\n1\t5\n", "{path}:2: duplicate rank 1"),
+        ("# only\n\n# comments\n", "{path}: no rank counts found"),
+    ])
+    def test_bad_table_is_a_domain_error(self, tmp_path, capsys, rows, message):
+        data = tmp_path / "counts.tsv"
+        data.write_text(rows)
+        assert cli.main(["fit", "--input", str(data)]) == 3
+        assert capsys.readouterr() == ("", f"optcoding: error: {message.format(path=data)}\n")
 
     def test_alpha_domain_error(self, tmp_path):
         data = tmp_path / "counts.tsv"
@@ -464,6 +500,7 @@ class TestSizeCap:
          "randtype.figure2_data"),
         (["simulate", "--N", "2", "--ps", "0.3", "--words", "100000000000",
           "--text-out", "typed.txt"], "randtype.generate"),
+        (["oracle", "--instances", "100000000000"], "assign.optimal_assignment"),
     ])
     def test_refused_before_any_array(self, tmp_path, monkeypatch, capsys, argv, stage):
         def refuse(*args, **kwargs):
@@ -502,6 +539,7 @@ class TestSizeCap:
         ["lengths", "--N", "2", "--imax"],
         ["figure", "--N", "2", "--ps", "0.3", "--imax"],
         ["simulate", "--N", "2", "--ps", "0.3", "--words"],
+        ["oracle", "--instances"],
     ])
     def test_cap_is_inclusive(self, monkeypatch, capsys, argv):
         monkeypatch.setattr(cli, "MAX_SIZE", 5)
@@ -521,6 +559,22 @@ class TestOracle:
         assert out.returncode == 0
         assert "oracle: 25/25 ok" in out.stdout
 
+    def test_no_instances_is_a_domain_error(self, capsys):
+        assert cli.main(["oracle", "--instances", "0"]) == 3
+        assert capsys.readouterr() == (
+            "", f"optcoding: error: --instances must be in 1..{cli.MAX_SIZE}, got 0\n")
+
+    def test_disagreement_prints_its_fail_lines(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli.assign, "brute_force_minimum", lambda *args: -1.0)
+        target = tmp_path / "oracle.txt"
+        assert cli.main(["oracle", "--instances", "2", "--output", str(target)]) == 3
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert len(lines) == 3 and all("FAIL sorted=" in line for line in lines[:2])
+        assert lines[0].endswith(" exhaustive=-1.0") and lines[2] == "oracle: 0/2 ok"
+        assert err == "optcoding: error: oracle failed on 2 of 2 instances\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic(self):
         a = run("oracle", "--instances", "10", "--seed", "9").stdout
         b = run("oracle", "--instances", "10", "--seed", "9").stdout
@@ -539,9 +593,117 @@ class TestUsageErrors:
     def test_unknown_subcommand(self):
         assert run("frobnicate").returncode == 2
 
+    def test_output_naming_a_directory_is_an_io_error(self, tmp_path, capsys):
+        target = tmp_path / "out"
+        target.mkdir()
+        assert cli.main(["codes", "--alphabet", "ab", "--ranks", "3", "--output", str(target)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("optcoding: i/o error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [target]  # no out.tmp.<pid> left behind
+        assert list(target.iterdir()) == []
+
     def test_output_file_written_atomically(self, tmp_path):
         target = tmp_path / "codes.tsv"
         run("codes", "--alphabet", "ab", "--ranks", "3", "--output", str(target))
         assert target.read_text() == "rank\tcode\n1\ta\n2\tb\n3\taa\n"
         leftovers = [p for p in tmp_path.iterdir() if p != target]
         assert leftovers == []
+
+
+# Flag values for the fuzz test.  Each invocation may swap one value for a
+# bad one, which any flag must survive.
+BAD = ["x", "-1", "", str(2**63)]
+
+
+def count(top):
+    return st.integers(0, top).map(str)
+
+
+def maybe(values):
+    return st.one_of(st.none(), values)
+
+
+SWITCH = st.sampled_from([None, True])
+ALPHABET_SIZE = st.integers(0, 27).map(str)
+LMIN = maybe(st.sampled_from(["0", "1", "2", "5", "1000"]))
+PS = st.one_of(st.sampled_from(["0.5", "0.18", "0.01"]),
+               st.sampled_from(["0", "1", "1.5", "nan", "1e-300"]))
+SEED = maybe(st.sampled_from(["0", "7"]))
+FORMAT = maybe(st.sampled_from(["csv", "tsv", "json", "x"]))
+FLAGS = {
+    "codes": [("--alphabet", st.sampled_from(["ab", "a", "aa", "", "xyz"])),
+              ("--ranks", count(200)), ("--lmin", LMIN), ("--allow-empty", SWITCH),
+              ("--format", FORMAT)],
+    "lengths": [("--N", ALPHABET_SIZE), ("--lmin", LMIN), ("--imax", count(2000)),
+                ("--format", FORMAT)],
+    "figure": [("--N", ALPHABET_SIZE), ("--ps", PS), ("--lmin", LMIN), ("--imax", count(2000)),
+               ("--format", FORMAT)],
+    "simulate": [("--N", ALPHABET_SIZE), ("--ps", PS), ("--lmin", LMIN), ("--words", count(2000)),
+                 ("--seed", SEED),
+                 ("--bias", st.sampled_from([None, None, None, "0.5,0.5", "0.9,0.1", "1"])),
+                 ("--text-out", maybe(st.just("text.txt")))],
+    "fit": [("--input", st.just("in.txt")),
+            ("--family", maybe(st.sampled_from([*maxent.FAMILIES, "all", "x"])))],
+    "analyze": [("--input", st.just("in.txt")), ("--magnitudes", maybe(st.just("side.tsv"))),
+                ("--alphabet", maybe(st.sampled_from(["ab", "aa", ""]))), ("--lmin", LMIN),
+                ("--lowercase", SWITCH), ("--keep-punctuation", SWITCH), ("--graphemes", SWITCH),
+                ("--table-out", maybe(st.just("table.tsv")))],
+    "oracle": [("--instances", count(3)), ("--seed", SEED)],  # the default, 200, takes seconds
+}
+OUTPUTS = ("out.txt", "text.txt", "table.tsv")
+PATH_FLAGS = ("--input", "--magnitudes", "--output", "--text-out", "--table-out")
+# Input files: rank counts, or corpus text and sidecar rows, after an
+# optional byte-order mark and odd first line, before an optional bad byte.
+LINES = st.one_of(
+    st.lists(st.sampled_from(["1\t5", "2\t3", "3,1", "4\t1", "5\t1"]), max_size=5, unique=True),
+    st.lists(st.sampled_from(["the cat sat", "a cat, the Cat!", "the\t0.5", "cat\t1.25"]),
+             max_size=4),
+)
+FIRST = maybe(st.sampled_from(["rank\tcount", "# note", "", "x\ty", "1\t2\t3", "9" * 30 + "\t1",
+                               "1\t2", "cat\t-1", "\ufeffthe"]))
+FILE = maybe(st.builds(
+    lambda bom, first, lines, bad: (b"\xef\xbb\xbf" if bom else b"")
+    + "\n".join(([] if first is None else [first]) + lines).encode() + (b"\xff" if bad else b""),
+    st.booleans(), FIRST, LINES, st.sampled_from([False, False, False, True]),
+))
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = [*FLAGS[command], ("--output", maybe(st.just("out.txt")))]
+    # a bad path would name a file outside the test's directory
+    spoiled = draw(maybe(st.sampled_from([flag for flag, _ in flags if flag not in PATH_FLAGS])))
+    argv = [command]
+    for flag, values in flags:
+        value = draw(st.sampled_from(BAD) if flag == spoiled else values)
+        if value is not None:
+            argv += [flag] if value is True else [flag, value]
+    return argv
+
+
+class TestFuzz:
+    """Any flags and small input files: a documented exit code, no traceback,
+    and no output file left behind by a failed run."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=invocations(), corpus_bytes=FILE, sidecar_bytes=FILE)
+    def test_every_input_exits_with_a_documented_code(self, argv, corpus_bytes, sidecar_bytes):
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            for name, data in (("in.txt", corpus_bytes), ("side.tsv", sidecar_bytes)):
+                if data is not None:
+                    (d / name).write_bytes(data)
+            names = {"in.txt", "side.tsv", *OUTPUTS}
+            argv = [str(d / a) if a in names else a for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 2, 3, 4), (argv, code)
+            assert "Traceback" not in err.getvalue()
+            written = {p.name for p in d.iterdir()} - {"in.txt", "side.tsv"}
+            if code:
+                assert not written, (argv, written)
+            else:
+                named = {Path(a).name for a in argv if Path(a).name in OUTPUTS}
+                assert written == named, (argv, written)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from optcoding.codebook import (
     nth_string,
     optimal_nonsingular_code,
     rank_of_string,
+    ranks_of_strings,
     segmentations,
     string_count_through_length,
     string_digits,
@@ -55,6 +57,34 @@ class TestAlphabet:
         assert AB.index("b") == 1
         with pytest.raises(ValueError):
             AB.index("z")
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Alphabet(()), "alphabet must have at least one symbol"),
+        (lambda: Alphabet.latin(0), "latin alphabet supports 1..26 symbols"),
+        (lambda: Alphabet.latin(27), "latin alphabet supports 1..26 symbols"),
+        (lambda: CodeTable((), AB), "code table must have at least one entry"),
+        (lambda: CodeTable(("a", "ac"), AB), "code 'ac' uses symbols outside the alphabet"),
+        (lambda: REPEATED.code(0), "rank must be in 1..6"),
+        (lambda: REPEATED.code(7), "rank must be in 1..6"),
+        (lambda: string_count_through_length(0, 1, 3), "alphabet size must be >= 1"),
+        (lambda: code_length_for_rank(2, -1, 1), "l_min must be nonnegative"),
+        (lambda: ranks_of_strings(AB, 2, ["ab", "a"]), "string 'a' is shorter than l_min=2"),
+        (lambda: check_table_size(2, -1, 3), "l_min must be nonnegative"),
+        (lambda: uniquely_decodable_lengths(UNIFORM6, 1),
+         "uniquely decodable lengths need an alphabet of size >= 2"),
+        (lambda: segmentations("ab", SELF_DELIMITING, cap=0), "cap must be >= 1"),
+        (lambda: segmentations("ab", CodeTable(("", "a", "b"), AB)),
+         "tables containing the empty code admit unbounded parse families"),
+    ])
+    def test_rejected_with_its_message(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_table_code_and_length(self):
+        assert len(SELF_DELIMITING) == 6
+        assert [SELF_DELIMITING.code(r) for r in (1, 6)] == ["b", "aabba"]
 
 
 class TestEnumeration:

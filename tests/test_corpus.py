@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import unicodedata
 
 import numpy as np
@@ -127,6 +128,17 @@ class TestBuildTable:
             FrequencyTable(("a", "b"), np.array([1, 2]), np.array([1.0, 1.0]), 3)
         with pytest.raises(ValueError):
             FrequencyTable(("a",), np.array([2]), np.array([1.0]), 3)
+
+    @pytest.mark.parametrize("types, freqs, mags, message", [
+        ((), [], [], "frequency table must not be empty"),
+        (("a", "b"), [2], [1.0, 1.0], "types, frequencies and magnitudes must align"),
+        (("a", "b"), [2, 1], [1.0], "types, frequencies and magnitudes must align"),
+        (("a", "b"), [2, 0], [1.0, 1.0], "frequencies must be positive"),
+        (("a", "b"), [2, 1], [1.0, math.nan], "magnitudes must be finite and nonnegative"),
+    ])
+    def test_validation_message(self, types, freqs, mags, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FrequencyTable(types, np.array(freqs, dtype=np.int64), np.array(mags), sum(freqs))
 
 
 # Reference implementations: the per-character stripper and the

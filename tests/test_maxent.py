@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -16,6 +17,7 @@ from optcoding import cli, maxent
 from optcoding.maxent import (
     CodeLength,
     EntropyValue,
+    LengthLaw,
     GeometricParams,
     LinearLength,
     LogLength,
@@ -325,6 +327,44 @@ class TestFamilies:
             GeometricParams(0.0)
         with pytest.raises(ValueError):
             GeometricParams(1.0)
+
+
+class UnsummedLength(LengthLaw):
+    def __call__(self, i):
+        return float(i)
+
+
+ZETA_2 = ZetaParams(2.0)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: MaxentSpec(1.0, UnsummedLength()).partition(),
+         "no closed partition sum for this length law; set a truncation"),
+        (lambda: LinearLength().partition(0), "linear length law needs alpha > 0"),
+        (lambda: LogLength(1), "log length law needs base > 1"),
+        (lambda: LogLength()(0), "rank must be >= 1"),
+        (lambda: LogLength().partition(1.0), "partition sum diverges: effective exponent 1.0 <= 1"),
+        (lambda: CodeLength(0), "base_size must be >= 1"),
+        (lambda: CodeLength(2, -1), "min_length must be nonnegative"),
+        (lambda: MaxentSpec(0.0, LinearLength()), "alpha must be positive"),
+        (lambda: MaxentSpec(1.0, LinearLength(), 0), "truncation must be >= 1"),
+        (lambda: maxent_pmf(MaxentSpec(1.0, LinearLength()), 0), "rank must be >= 1"),
+        (lambda: zeta_pmf(ZETA_2, 0), "rank must be >= 1"),
+        (lambda: geometric_pmf(GeometricParams(0.5), 0), "rank must be >= 1"),
+        (lambda: ZipfMandelbrotParams(1.0, 1.0), "Zipf-Mandelbrot needs alpha > 1"),
+        (lambda: entropy(lambda i: zeta_pmf(ZETA_2, i), 0), "truncation must be >= 1"),
+        (lambda: sample(ZETA_2, 0, 0), "n must be >= 1"),
+        # the mean rounds to 1.0 in floats, so q = 1
+        (lambda: fit_mle({1: 2**62, 2: 1}, "geometric"), "geometric MLE is degenerate for this data"),
+    ])
+    def test_rejected_with_its_message(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_bare_length_law_is_not_callable(self):
+        with pytest.raises(NotImplementedError):
+            LengthLaw()(1)
 
 
 class TestStepLawSandwich:

@@ -1,10 +1,12 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,20 @@ class TestParams:
         ok = RandomTypingParams(2, 0.5, 1, np.array([0.7, 0.3]))
         assert ok.letter_bias.tolist() == [0.7, 0.3]
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: RandomTypingParams(0, 0.5, 1), "alphabet size N must be >= 1"),
+        (lambda: RandomTypingParams(2, 0.5, -1), "l_min must be nonnegative"),
+        (lambda: rank_probabilities(BINARY, 0), "i_max must be >= 1"),
+        (lambda: verify_optimality(BINARY, 0), "i_max must be >= 1"),
+        (lambda: generate(BINARY, 0, 0), "n_words must be >= 1"),
+        (lambda: generate(RandomTypingParams(27, 0.5, 1), 0, 5),
+         "latin alphabet supports 1..26 symbols"),
+        (lambda: AbbreviationLaw(-1.0, 0.0).predict_length(0.0), "probability must be in (0, 1]"),
+    ])
+    def test_rejected_with_its_message(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
     def test_bias_blocks_analytic_laws(self):
         biased = RandomTypingParams(2, 0.5, 1, np.array([0.7, 0.3]))
         with pytest.raises(ValueError):
@@ -124,6 +140,29 @@ class TestWordProbability:
     def test_length_past_the_float_range_is_a_value_error(self):
         with pytest.raises(ValueError, match="overflows a float"):
             word_probability(RandomTypingParams(2, 0.5, 1), 10**400)
+
+    def test_power_below_the_normal_range_is_not_rounded_away(self):
+        # 0.5**l is subnormal or 0.0 from l = 1023 on, though the unary
+        # probability of rank i is 2**-i; it printed 0.0 from rank 52
+        params = RandomTypingParams(1, 0.5, 1000)
+        probs = rank_probabilities(params, 1100)
+        assert probs.tolist() == [2.0**-i for i in range(1, 1101)]
+        assert [rank_probability(params, i) for i in range(1, 1101)] == probs.tolist()
+
+    @pytest.mark.parametrize("n, p_s, l_min", [(2, 0.5, 1000), (2, 0.3, 700), (3, 0.3, 640)])
+    def test_probability_past_the_power_underflow_against_mpmath(self, n, p_s, l_min):
+        params = RandomTypingParams(n, p_s, l_min)
+        ranks = np.array([1, 2, 1000, 10**6])
+        lengths = code_length_for_rank(n, l_min, ranks)
+        assert np.all(((1 - p_s) / n) ** lengths < sys.float_info.min)  # the case at hand
+        probs = rank_probability(params, ranks)
+        for l, p in zip(lengths.tolist(), probs.tolist()):
+            exact = mpmath.mpf(p_s) * mpmath.mpf(1 - p_s) ** (l - l_min) / mpmath.mpf(n) ** l
+            assert p == pytest.approx(float(exact), rel=1e-12, abs=0)
+        assert [word_probability(params, l) for l in lengths.tolist()] == probs.tolist()
+
+    def test_length_past_int64_is_zero(self):
+        assert word_probability(RandomTypingParams(2, 0.5, 1), 2**70) == 0.0
 
     def test_largest_finite_scale_is_accepted(self):
         # 0.5 / 0.5**1024 = 2**1023, the largest power of two that is a float;

@@ -41,12 +41,18 @@ BRUTE_FORCE_MAX_V = 8
 BRUTE_FORCE_MAX_POOL = 10
 
 
-def _frozen_vector(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, copy=True)
+def _frozen_vector(values, what: str, dtype=float) -> np.ndarray:
+    """A fresh read-only 1-D copy of `values` in `dtype`: the one constructor
+    of every array a value class holds.  ValueError naming `what` unless the
+    input is nonempty, 1-D, finite and within the dtype's range."""
+    try:
+        arr = np.array(values, dtype=dtype, copy=True)
+    except OverflowError:
+        raise ValueError(f"{what} must fit in {np.dtype(dtype)}") from None
     if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("expected a nonempty 1-D vector")
+        raise ValueError(f"{what} must be a nonempty 1-D vector")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("values must be finite")
+        raise ValueError(f"{what} must be finite")
     arr.flags.writeable = False
     return arr
 
@@ -62,11 +68,7 @@ class RankedDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.probs, dtype=float, copy=True)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("probs must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probs must be finite")
+        p = _frozen_vector(self.probs, "probs")
         if np.any(p < 0):
             raise ValueError("probs must be nonnegative")
         if np.any(p[:-1] < p[1:]):
@@ -76,18 +78,14 @@ class RankedDistribution:
             raise ValueError(
                 f"probs sum to {total!r}; must be 1 within {PROBABILITY_SUM_TOL}"
             )
-        p /= total
-        p.flags.writeable = False
-        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "probs", _frozen_vector(p / total, "probs"))
 
     @classmethod
     def from_weights(cls, weights) -> "RankedDistribution":
         """Build a distribution from nonnegative weights: sort descending, normalize."""
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise ValueError("weights must be finite and nonnegative")
+        w = _frozen_vector(weights, "weights")
+        if np.any(w < 0):
+            raise ValueError("weights must be nonnegative")
         total = w.sum()
         if total <= 0:
             raise ValueError("weights must not all be zero")
@@ -114,18 +112,12 @@ class MagnitudeMultiset:
     allow_zero: bool = False
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float, copy=True)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("magnitude multiset must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("magnitudes must be finite")
+        v = _frozen_vector(self.values, "magnitudes")
         lower_ok = np.all(v >= 0) if self.allow_zero else np.all(v > 0)
         if not lower_ok:
             bound = ">= 0 (allow_zero)" if self.allow_zero else "> 0"
             raise ValueError(f"magnitudes must be {bound}")
-        v.sort()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen_vector(np.sort(v), "magnitudes"))
 
     @property
     def size(self) -> int:
@@ -187,7 +179,7 @@ class Assignment:
     magnitudes: np.ndarray
 
     def __post_init__(self):
-        m = _frozen_vector(self.magnitudes)
+        m = _frozen_vector(self.magnitudes, "magnitudes")
         if np.any(m < 0):
             raise ValueError("assigned magnitudes must be nonnegative")
         object.__setattr__(self, "magnitudes", m)

@@ -3,10 +3,10 @@
 Subcommands: codes, lengths, simulate, fit, analyze, figure, oracle.
 Exit codes: 0 success, 2 usage error, 3 numeric or domain error, 4 I/O
 error.  Identical invocations (same flags and seed) produce byte-identical
-artifacts, and no output file is created on any error path.  For
-`analyze`, `fit` and `simulate` that also takes the same BLAS thread count
-(e.g. OPENBLAS_NUM_THREADS): their recoding lengths and fits reduce sums
-with BLAS, whose summation order depends on it.
+artifacts, and no output file is created on any error path.  For the
+fits of `analyze` and `fit` that also takes the same BLAS thread count
+(e.g. OPENBLAS_NUM_THREADS): they reduce sums with BLAS, whose summation
+order depends on it.
 """
 
 from __future__ import annotations
@@ -38,20 +38,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _write_output(text: str, path: str | None) -> None:
-    """Emit to stdout, or atomically to a file (no partial file on failure)."""
-    if path is None:
-        sys.stdout.write(text)
-        return
-    tmp = f"{path}.tmp.{os.getpid()}"
+def _write_output(text: str, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _write_outputs(outputs: dict) -> None:
+    """Write each text to its path, or to stdout for None: every file to a
+    temporary file, then all moved into place, then stdout.  On an OSError
+    no file of the run is left behind."""
+    # one spelling per file, the last: a shared path holds the main output
+    files = {os.path.abspath(p): p for p in outputs if p is not None}.values()
+    tmps = {path: f"{path}.tmp.{os.getpid()}" for path in files}
+    moved = []
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, tmp in tmps.items():
+            _write_output(outputs[path], tmp)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
+            moved.append(path)
     except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for path in [*tmps.values(), *moved]:
+            if os.path.exists(path):
+                os.unlink(path)
         raise
+    if None in outputs:
+        sys.stdout.write(outputs[None])
 
 
 def _cells(values: np.ndarray):
@@ -114,7 +126,7 @@ def _check_size(flag: str, value: int) -> None:
         raise ValueError(f"{flag} must be in 1..{MAX_SIZE}, got {value}")
 
 
-def _cmd_codes(args) -> str:
+def _cmd_codes(args) -> dict:
     alphabet = codebook.Alphabet.from_string(args.alphabet)
     if args.ranks < 1:
         raise ValueError("--ranks must be >= 1")
@@ -124,26 +136,26 @@ def _cmd_codes(args) -> str:
         dist, alphabet, args.lmin, allow_empty=args.allow_empty
     )
     if args.format == "json":
-        return _json_text({
+        return {args.output: _json_text({
             "schema": "codes/1",
             "alphabet": list(alphabet.symbols),
             "codes": list(table.codes),
-        })
+        })}
     ranks = map(str, range(1, table.size + 1))
-    return _table_text(("rank", "code"), (ranks, table.codes), args.format)
+    return {args.output: _table_text(("rank", "code"), (ranks, table.codes), args.format)}
 
 
-def _cmd_lengths(args) -> str:
+def _cmd_lengths(args) -> dict:
     _check_size("--imax", args.imax)
     lengths = codebook.code_length_for_rank(args.N, args.lmin, np.arange(1, args.imax + 1))
-    return _rank_table_text(("i", "l_i"), lengths, args.format)
+    return {args.output: _rank_table_text(("i", "l_i"), lengths, args.format)}
 
 
-def _cmd_figure(args) -> str:
+def _cmd_figure(args) -> dict:
     _check_size("--imax", args.imax)
     params = randtype.RandomTypingParams(args.N, args.ps, args.lmin)
     probs = randtype.figure2_data(params, args.imax)[1]
-    return _rank_table_text(("i", "p_i"), probs, args.format)
+    return {args.output: _rank_table_text(("i", "p_i"), probs, args.format)}
 
 
 def _check_recoding_lmin(lmin: int) -> None:
@@ -153,7 +165,7 @@ def _check_recoding_lmin(lmin: int) -> None:
         raise ValueError(f"--lmin must be >= 1 (no empty code string), got {lmin}")
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args) -> dict:
     _check_recoding_lmin(args.lmin)
     _check_size("--words", args.words)
     bias = None
@@ -177,9 +189,8 @@ def _cmd_simulate(args) -> str:
         **_concordance_json(abbrev),
         **_recoding_json(recoding),
     }
-    if args.text_out is not None:  # written only once the analysis succeeded
-        _write_output(" ".join(words) + "\n", args.text_out)
-    return _json_text(payload)
+    side = {} if args.text_out is None else {args.text_out: " ".join(words) + "\n"}
+    return {**side, args.output: _json_text(payload)}
 
 
 def _int_or_none(cell: str) -> int | None:
@@ -219,16 +230,17 @@ def _read_rank_counts(path) -> dict[int, int]:
     return out
 
 
-def _cmd_fit(args) -> str:
+def _cmd_fit(args) -> dict:
     observed = _read_rank_counts(args.input)
     families = maxent.FAMILIES if args.family == "all" else (args.family,)
     results = maxent.fit_ranked(observed, families)
     if len(results) == 1:
-        return _json_text(_fit_json(results[0]))
-    return _json_text({"schema": "fit/1", "results": [_fit_json(r) for r in results]})
+        return {args.output: _json_text(_fit_json(results[0]))}
+    payload = {"schema": "fit/1", "results": [_fit_json(r) for r in results]}
+    return {args.output: _json_text(payload)}
 
 
-def _cmd_analyze(args) -> str:
+def _cmd_analyze(args) -> dict:
     _check_recoding_lmin(args.lmin)
     alphabet = codebook.Alphabet.from_string(args.alphabet)
     text = corpus.read_text(args.input)
@@ -243,21 +255,21 @@ def _cmd_analyze(args) -> str:
         magnitudes=magnitudes,
     )
     report = corpus.analyze(table, alphabet, args.lmin)
+    side = {}
     if args.table_out is not None:
         columns = (table.types, _cells(table.frequencies), _cells(table.magnitudes))
-        tsv = _table_text(("type", "frequency", "magnitude"), columns, "tsv")
-        _write_output(tsv, args.table_out)
-    return _json_text({
+        side[args.table_out] = _table_text(("type", "frequency", "magnitude"), columns, "tsv")
+    return {**side, args.output: _json_text({
         "schema": "analysis/1",
         **_concordance_json(report.abbreviation),
         "note": report.abbreviation.note,
         **_recoding_json(report.recoding),
         "fits": [_fit_json(f) for f in report.fits],
         "fit_warning": report.fit_warning,
-    })
+    })}
 
 
-def _cmd_oracle(args) -> str:
+def _cmd_oracle(args) -> dict:
     _check_size("--instances", args.instances)
     rng = np.random.default_rng(args.seed)
     costs = [
@@ -287,7 +299,7 @@ def _cmd_oracle(args) -> str:
     if failures:
         sys.stdout.write("\n".join(lines) + "\n")
         raise ValueError(f"oracle failed on {failures} of {args.instances} instances")
-    return "\n".join(lines) + "\n"
+    return {args.output: "\n".join(lines) + "\n"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,8 +379,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits itself on --help/usage errors
         return int(exc.code or 0)
     try:
-        text = args.run(args)
-        _write_output(text, args.output)
+        _write_outputs(args.run(args))
     except ValueError as exc:
         print(f"optcoding: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

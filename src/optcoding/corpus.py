@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, filterfalse, repeat
-from operator import is_, methodcaller
+from operator import is_, methodcaller, mul
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -67,22 +67,20 @@ class FrequencyTable:
 
     def __post_init__(self):
         types = tuple(self.types)
-        freqs = np.array(self.frequencies, dtype=np.int64, copy=True)
-        mags = np.array(self.magnitudes, dtype=float, copy=True)
         if not types:
             raise ValueError("frequency table must not be empty")
-        if freqs.shape != (len(types),) or mags.shape != (len(types),):
+        freqs = assign._frozen_vector(self.frequencies, "frequencies", np.int64)
+        mags = assign._frozen_vector(self.magnitudes, "magnitudes")
+        if freqs.size != len(types) or mags.size != len(types):
             raise ValueError("types, frequencies and magnitudes must align")
         if np.any(freqs < 1):
             raise ValueError("frequencies must be positive")
         if np.any(freqs[:-1] < freqs[1:]):
             raise ValueError("frequencies must be sorted nonincreasingly")
-        if np.any(mags < 0) or not np.all(np.isfinite(mags)):
-            raise ValueError("magnitudes must be finite and nonnegative")
+        if np.any(mags < 0):
+            raise ValueError("magnitudes must be nonnegative")
         if int(freqs.sum()) != self.total_tokens:
             raise ValueError("frequencies must sum to total_tokens")
-        freqs.flags.writeable = False
-        mags.flags.writeable = False
         object.__setattr__(self, "types", types)
         object.__setattr__(self, "frequencies", freqs)
         object.__setattr__(self, "magnitudes", mags)
@@ -273,8 +271,13 @@ def optimal_recoding(
     lengths = codebook.code_length_for_rank(
         alphabet.size, l_min, np.arange(1, table.size + 1)
     )
-    l_actual = float(dist.probs @ table.magnitudes)
-    l_optimal = float(dist.probs @ lengths)
+    # No BLAS sums: their order follows its thread count.  l_optimal is exact
+    # at any l_min: a run's token count times its length, in Python ints.
+    n = table.total_tokens
+    l_actual = float((table.frequencies * table.magnitudes).sum()) / n
+    starts = np.flatnonzero(np.r_[True, lengths[1:] != lengths[:-1]])
+    run_tokens = np.add.reduceat(table.frequencies, starts).tolist()
+    l_optimal = sum(map(mul, run_tokens, lengths[starts].tolist())) / n
     return RecodingResult(l_actual, l_optimal, dist, alphabet, l_min)
 
 

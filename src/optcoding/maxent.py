@@ -19,6 +19,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .assign import _frozen_vector
 from .codebook import code_length_for_rank
 
 __all__ = [
@@ -556,12 +557,10 @@ class RankCounts:
     counts: np.ndarray
 
     def __post_init__(self):
-        ranks = _int64_array(self.ranks, "ranks")
-        counts = _int64_array(self.counts, "counts")
-        if ranks.ndim != 1 or ranks.shape != counts.shape:
+        ranks = _frozen_vector(self.ranks, "ranks", np.int64)
+        counts = _frozen_vector(self.counts, "counts", np.int64)
+        if ranks.shape != counts.shape:
             raise ValueError("ranks and counts must be aligned 1-D arrays")
-        if ranks.size == 0:
-            raise ValueError("no observations")
         if np.any(ranks < 1):
             raise ValueError("ranks must be >= 1")
         if np.any(counts < 1):
@@ -570,17 +569,8 @@ class RankCounts:
             raise ValueError("ranks must be strictly increasing")
         if sum(counts.tolist()) > np.iinfo(np.int64).max:
             raise ValueError("the total count must fit in int64")
-        ranks.flags.writeable = False
-        counts.flags.writeable = False
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "counts", counts)
-
-
-def _int64_array(values, what: str) -> np.ndarray:
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise ValueError(f"{what} must fit in int64") from None
 
 
 def _as_rank_counts(observed) -> RankCounts:
@@ -589,7 +579,7 @@ def _as_rank_counts(observed) -> RankCounts:
     if isinstance(observed, Mapping):
         items = sorted(observed.items())
         return RankCounts([r for r, _ in items], [c for _, c in items])
-    return RankCounts(*np.unique(_int64_array(observed, "ranks"), return_counts=True))
+    return RankCounts(*np.unique(_frozen_vector(observed, "ranks", np.int64), return_counts=True))
 
 
 def fit_mle(observed, family: str) -> FitResult:

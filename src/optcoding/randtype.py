@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codebook
+from .assign import _frozen_vector
 
 __all__ = [
     "RandomTypingParams",
@@ -55,17 +56,15 @@ class RandomTypingParams:
         if self.l_min < 0:
             raise ValueError("l_min must be nonnegative")
         if self.letter_bias is not None:
-            bias = np.array(self.letter_bias, dtype=float, copy=True)
-            if bias.shape != (self.N,):
+            bias = _frozen_vector(self.letter_bias, "letter_bias")
+            if bias.size != self.N:
                 raise ValueError(f"letter_bias must have length {self.N}")
-            if np.any(bias <= 0) or not np.all(np.isfinite(bias)):
-                raise ValueError("letter_bias entries must be finite and positive")
+            if np.any(bias <= 0):
+                raise ValueError("letter_bias entries must be positive")
             total = float(bias.sum())
             if abs(total - 1.0) > 1e-9:
                 raise ValueError("letter_bias must sum to 1")
-            bias /= total
-            bias.flags.writeable = False
-            object.__setattr__(self, "letter_bias", bias)
+            object.__setattr__(self, "letter_bias", _frozen_vector(bias / total, "letter_bias"))
 
 
 def _require_uniform(params: RandomTypingParams) -> None:

@@ -122,20 +122,19 @@ class TestInputChecks:
         (lambda: RankedDistribution(np.ones((1, 1))), "probs must be a nonempty 1-D vector"),
         (lambda: RankedDistribution([]), "probs must be a nonempty 1-D vector"),
         (lambda: RankedDistribution([math.nan]), "probs must be finite"),
+        (lambda: RankedDistribution([10**400]), "probs must fit in float64"),
         (lambda: RankedDistribution.from_weights([[1.0]]), "weights must be a nonempty 1-D vector"),
         (lambda: RankedDistribution.from_weights([]), "weights must be a nonempty 1-D vector"),
-        (lambda: RankedDistribution.from_weights([1.0, -1.0]),
-         "weights must be finite and nonnegative"),
-        (lambda: RankedDistribution.from_weights([1.0, math.inf]),
-         "weights must be finite and nonnegative"),
+        (lambda: RankedDistribution.from_weights([1.0, -1.0]), "weights must be nonnegative"),
+        (lambda: RankedDistribution.from_weights([1.0, math.inf]), "weights must be finite"),
         (lambda: RankedDistribution.from_weights([0.0, 0.0]), "weights must not all be zero"),
-        (lambda: MagnitudeMultiset(np.ones((1, 1))),
-         "magnitude multiset must be a nonempty 1-D vector"),
-        (lambda: MagnitudeMultiset([]), "magnitude multiset must be a nonempty 1-D vector"),
+        (lambda: MagnitudeMultiset(np.ones((1, 1))), "magnitudes must be a nonempty 1-D vector"),
+        (lambda: MagnitudeMultiset([]), "magnitudes must be a nonempty 1-D vector"),
         (lambda: MagnitudeMultiset([1.0, math.nan]), "magnitudes must be finite"),
-        (lambda: Assignment(np.ones((1, 1))), "expected a nonempty 1-D vector"),
-        (lambda: Assignment([]), "expected a nonempty 1-D vector"),
-        (lambda: Assignment([1.0, math.inf]), "values must be finite"),
+        (lambda: MagnitudeMultiset([10**400]), "magnitudes must fit in float64"),
+        (lambda: Assignment(np.ones((1, 1))), "magnitudes must be a nonempty 1-D vector"),
+        (lambda: Assignment([]), "magnitudes must be a nonempty 1-D vector"),
+        (lambda: Assignment([1.0, math.inf]), "magnitudes must be finite"),
         (lambda: Assignment([1.0, -1.0]), "assigned magnitudes must be nonnegative"),
         (lambda: CostFunction("identity", 1.0), "identity cost takes no parameter"),
         (lambda: brute_force_minimum(dist(0.5, 0.5), pool(1.0), IDENTITY),

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -210,6 +211,13 @@ class TestSimulate:
         assert payload["schema"] == "simulate/1"
         assert payload["n_words"] == 500
         assert payload["tau"] <= 0 or payload["tau"] is None
+
+    def test_bytes_do_not_follow_the_blas_thread_count(self):
+        # 11k types: enough for OpenBLAS to split a dot product over two threads
+        args = ("simulate", "--N", "5", "--ps", "0.3", "--words", "50000", "--seed", "7")
+        one, two = (run(*args, env={**os.environ, "OPENBLAS_NUM_THREADS": t}) for t in "12")
+        assert one.returncode == two.returncode == 0
+        assert one.stdout == two.stdout
 
     def test_text_out_writes_corpus(self, tmp_path):
         corpus_path = tmp_path / "typed.txt"
@@ -602,6 +610,30 @@ class TestUsageErrors:
         assert list(tmp_path.iterdir()) == [target]  # no out.tmp.<pid> left behind
         assert list(target.iterdir()) == []
 
+    @pytest.mark.parametrize("command, side", [
+        (["simulate", "--N", "2", "--ps", "0.5", "--words", "10", "--text-out"], "typed.txt"),
+        (["analyze", "--input", "corpus.txt", "--table-out"], "t.tsv"),
+    ])
+    @pytest.mark.parametrize("output", ["missing/out.json", "existing"])
+    def test_failed_output_write_removes_the_side_file(self, tmp_path, monkeypatch, capsys,
+                                                      command, side, output):
+        monkeypatch.chdir(tmp_path)
+        Path("corpus.txt").write_text("b a a\n")
+        Path("existing").mkdir()
+        assert cli.main([*command, side, "--output", output]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("optcoding: i/o error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", "existing"]
+        assert list(Path("existing").iterdir()) == []
+
+    def test_shared_side_and_output_path_holds_the_output(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--N", "2", "--ps", "0.5", "--words", "10", "--text-out"]
+        assert cli.main([*argv, "./same.txt", "--output", "same.txt"]) == 0
+        assert cli.main(argv[:-1]) == 0
+        assert capsys.readouterr().out == Path("same.txt").read_text()
+        assert [p.name for p in tmp_path.iterdir()] == ["same.txt"]
+
     def test_output_file_written_atomically(self, tmp_path):
         target = tmp_path / "codes.tsv"
         run("codes", "--alphabet", "ab", "--ranks", "3", "--output", str(target))
@@ -651,6 +683,8 @@ FLAGS = {
     "oracle": [("--instances", count(3)), ("--seed", SEED)],  # the default, 200, takes seconds
 }
 OUTPUTS = ("out.txt", "text.txt", "table.tsv")
+# An --output the run cannot write: a missing directory, or the test's directory itself.
+UNWRITABLE = ("missing/out.txt", ".")
 PATH_FLAGS = ("--input", "--magnitudes", "--output", "--text-out", "--table-out")
 # Input files: rank counts, or corpus text and sidecar rows, after an
 # optional byte-order mark and odd first line, before an optional bad byte.
@@ -671,7 +705,7 @@ FILE = maybe(st.builds(
 @st.composite
 def invocations(draw):
     command = draw(st.sampled_from(sorted(FLAGS)))
-    flags = [*FLAGS[command], ("--output", maybe(st.just("out.txt")))]
+    flags = [*FLAGS[command], ("--output", maybe(st.sampled_from(["out.txt", *UNWRITABLE])))]
     # a bad path would name a file outside the test's directory
     spoiled = draw(maybe(st.sampled_from([flag for flag, _ in flags if flag not in PATH_FLAGS])))
     argv = [command]
@@ -694,7 +728,7 @@ class TestFuzz:
             for name, data in (("in.txt", corpus_bytes), ("side.tsv", sidecar_bytes)):
                 if data is not None:
                     (d / name).write_bytes(data)
-            names = {"in.txt", "side.tsv", *OUTPUTS}
+            names = {"in.txt", "side.tsv", *OUTPUTS, *UNWRITABLE}
             argv = [str(d / a) if a in names else a for a in argv]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

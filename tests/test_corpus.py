@@ -134,11 +134,12 @@ class TestBuildTable:
         (("a", "b"), [2], [1.0, 1.0], "types, frequencies and magnitudes must align"),
         (("a", "b"), [2, 1], [1.0], "types, frequencies and magnitudes must align"),
         (("a", "b"), [2, 0], [1.0, 1.0], "frequencies must be positive"),
-        (("a", "b"), [2, 1], [1.0, math.nan], "magnitudes must be finite and nonnegative"),
+        (("a", "b"), [2, 1], [1.0, math.nan], "magnitudes must be finite"),
+        (("a", "b"), [2**63, 1], [1.0, 1.0], "frequencies must fit in int64"),
     ])
     def test_validation_message(self, types, freqs, mags, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            FrequencyTable(types, np.array(freqs, dtype=np.int64), np.array(mags), sum(freqs))
+            FrequencyTable(types, freqs, np.array(mags), sum(freqs))
 
 
 # Reference implementations: the per-character stripper and the
@@ -458,6 +459,18 @@ class TestOptimalRecoding:
         for _ in range(1000):
             perm = rng.permutation(table.size)
             assert res.l_optimal <= float(probs @ lengths[perm]) + 1e-15
+
+    def test_means_are_exact_token_averages(self):
+        table = zeta_token_table(1.8, 3, 50000)
+        res = optimal_recoding(table, AB, 1)
+        freqs, n = table.frequencies.tolist(), table.total_tokens
+        lengths = [code_length_for_rank(2, 1, i) for i in range(1, table.size + 1)]
+        assert res.l_actual == sum(f * len(t) for f, t in zip(freqs, table.types)) / n
+        assert res.l_optimal == sum(f * l for f, l in zip(freqs, lengths)) / n
+
+    def test_optimal_mean_at_an_l_min_near_the_int64_limit(self):
+        table = table_from_tokens(["a", "b", "b", "c", "c", "c"])
+        assert optimal_recoding(table, LATIN, 2**62).l_optimal == 2.0**62
 
     def test_empty_code_rejected_at_call_time(self):
         with pytest.raises(ValueError, match="allow_empty"):

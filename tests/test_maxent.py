@@ -681,7 +681,7 @@ class TestFitting:
         with pytest.raises(ValueError):
             counts.ranks[0] = 1  # read-only
         for ranks, cnts, message in [
-            ([], [], "no observations"),
+            ([], [], "ranks must be a nonempty 1-D vector"),
             ([0, 1], [1, 1], "ranks must be >= 1"),
             ([1, 2], [1, 0], "counts must be >= 1"),
             ([2, 1], [1, 1], "strictly increasing"),

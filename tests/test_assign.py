@@ -128,13 +128,20 @@ class TestInputChecks:
         (lambda: RankedDistribution.from_weights([1.0, -1.0]), "weights must be nonnegative"),
         (lambda: RankedDistribution.from_weights([1.0, math.inf]), "weights must be finite"),
         (lambda: RankedDistribution.from_weights([0.0, 0.0]), "weights must not all be zero"),
-        (lambda: MagnitudeMultiset(np.ones((1, 1))), "magnitudes must be a nonempty 1-D vector"),
-        (lambda: MagnitudeMultiset([]), "magnitudes must be a nonempty 1-D vector"),
+        # The shared array constructor words these alike for each class, so
+        # their ids name the class and case.
+        pytest.param(lambda: MagnitudeMultiset(np.ones((1, 1))),
+                     "magnitudes must be a nonempty 1-D vector", id="MagnitudeMultiset-2-D"),
+        pytest.param(lambda: MagnitudeMultiset([]), "magnitudes must be a nonempty 1-D vector",
+                     id="MagnitudeMultiset-empty"),
         (lambda: MagnitudeMultiset([1.0, math.nan]), "magnitudes must be finite"),
         (lambda: MagnitudeMultiset([10**400]), "magnitudes must fit in float64"),
-        (lambda: Assignment(np.ones((1, 1))), "magnitudes must be a nonempty 1-D vector"),
-        (lambda: Assignment([]), "magnitudes must be a nonempty 1-D vector"),
-        (lambda: Assignment([1.0, math.inf]), "magnitudes must be finite"),
+        pytest.param(lambda: Assignment(np.ones((1, 1))),
+                     "magnitudes must be a nonempty 1-D vector", id="Assignment-2-D"),
+        pytest.param(lambda: Assignment([]), "magnitudes must be a nonempty 1-D vector",
+                     id="Assignment-empty"),
+        pytest.param(lambda: Assignment([1.0, math.inf]), "magnitudes must be finite",
+                     id="Assignment-inf"),
         (lambda: Assignment([1.0, -1.0]), "assigned magnitudes must be nonnegative"),
         (lambda: CostFunction("identity", 1.0), "identity cost takes no parameter"),
         (lambda: brute_force_minimum(dist(0.5, 0.5), pool(1.0), IDENTITY),

@@ -41,14 +41,26 @@ BRUTE_FORCE_MAX_V = 8
 BRUTE_FORCE_MAX_POOL = 10
 
 
+def _finite(x, what: str) -> float:
+    """x as a float; ValueError "<what> must be finite" if it is nan or +-inf."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite")
+    return x
+
+
 def _frozen_vector(values, what: str, dtype=float) -> np.ndarray:
     """A fresh read-only 1-D copy of `values` in `dtype`: the one constructor
     of every array a value class holds.  ValueError naming `what` unless the
-    input is nonempty, 1-D, finite and within the dtype's range."""
+    input is nonempty, 1-D, finite and within the dtype's range, and for an
+    integer dtype unless the cast keeps every value."""
     try:
-        arr = np.array(values, dtype=dtype, copy=True)
+        with np.errstate(invalid="ignore"):  # a float cast to garbage fails the test below
+            arr = np.array(values, dtype=dtype, copy=True)
     except OverflowError:
         raise ValueError(f"{what} must fit in {np.dtype(dtype)}") from None
+    if arr.dtype.kind == "i" and not np.array_equal(arr, values):
+        raise ValueError(f"{what} must be integers")
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{what} must be a nonempty 1-D vector")
     if not np.all(np.isfinite(arr)):
@@ -144,10 +156,10 @@ class CostFunction:
             if self.param is not None:
                 raise ValueError("identity cost takes no parameter")
         elif self.kind == "power":
-            if self.param is None or self.param <= 0:
+            if self.param is None or _finite(self.param, "power cost exponent") <= 0:
                 raise ValueError("power cost needs exponent k > 0")
         elif self.kind == "exponential":
-            if self.param is None or self.param <= 1:
+            if self.param is None or _finite(self.param, "exponential cost base") <= 1:
                 raise ValueError("exponential cost needs base > 1")
         else:
             raise ValueError(f"unknown cost kind {self.kind!r}")

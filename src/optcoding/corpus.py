@@ -14,7 +14,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, filterfalse, repeat
+from itertools import accumulate, compress, count, filterfalse, repeat
 from operator import is_, methodcaller, mul
 from typing import Iterable, Mapping
 
@@ -244,40 +244,24 @@ class RecodingResult:
 
 
 def optimal_recoding(
-    table: FrequencyTable,
-    alphabet: codebook.Alphabet,
-    l_min: int = 1,
-    *,
-    verify_character_counts: bool = False,
+    table: FrequencyTable, alphabet: codebook.Alphabet, l_min: int = 1
 ) -> RecodingResult:
     """Recode every type with the shortest available distinct string.
 
     l_actual weighs the current magnitudes by type probability; l_optimal
     is the mean length of the optimal non-singular table over the given
     alphabet.  l_optimal <= l_actual is guaranteed only when the current
-    magnitudes are character counts over the same alphabet; pass
-    verify_character_counts=True to enforce that the magnitudes are the
-    types' character counts.
+    magnitudes are character counts over the same alphabet.
     """
-    if verify_character_counts:
-        expected = np.array([float(len(t)) for t in table.types])
-        if not np.array_equal(expected, table.magnitudes):
-            raise ValueError(
-                "magnitudes are not character counts; length comparison "
-                "against a string code is not meaningful"
-            )
     codebook._require_l_min(l_min)
     dist = table.ranked_distribution()
-    lengths = codebook.code_length_for_rank(
-        alphabet.size, l_min, np.arange(1, table.size + 1)
-    )
+    blocks = codebook.block_counts(alphabet.size, l_min, table.size)
     # No BLAS sums: their order follows its thread count.  l_optimal is exact
-    # at any l_min: a run's token count times its length, in Python ints.
+    # at any l_min: a length block's token count times its length, in Python ints.
     n = table.total_tokens
     l_actual = float((table.frequencies * table.magnitudes).sum()) / n
-    starts = np.flatnonzero(np.r_[True, lengths[1:] != lengths[:-1]])
-    run_tokens = np.add.reduceat(table.frequencies, starts).tolist()
-    l_optimal = sum(map(mul, run_tokens, lengths[starts].tolist())) / n
+    block_tokens = np.add.reduceat(table.frequencies, list(accumulate(blocks[:-1], initial=0)))
+    l_optimal = sum(map(mul, block_tokens.tolist(), count(l_min))) / n
     return RecodingResult(l_actual, l_optimal, dist, alphabet, l_min)
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .assign import _frozen_vector
+from .assign import _finite, _frozen_vector
 from .codebook import code_length_for_rank
 
 __all__ = [
@@ -94,8 +94,7 @@ def hurwitz_zeta(alpha: float, b: float) -> float:
     without an overflow warning; its logarithm is still finite in
     `_log_hurwitz_zeta`.
     """
-    alpha = float(alpha)
-    b = float(b)
+    alpha, b = _finite(alpha, "alpha"), _finite(b, "b")
     if alpha <= 1:
         raise ValueError("hurwitz_zeta diverges for alpha <= 1")
     if b <= 0:
@@ -149,17 +148,12 @@ def riemann_zeta(alpha: float) -> float:
 class LengthLaw:
     """A length-vs-rank law: callable rank -> magnitude.
 
-    Subclasses with infinite-support partition sums in closed (or zeta)
-    form override `partition`; anything else needs a truncation.
+    A law whose infinite-support partition sum has a closed (or zeta) form
+    defines `partition(alpha)`; an untruncated `MaxentSpec` needs one.
     """
 
     def __call__(self, i: int) -> float:
         raise NotImplementedError
-
-    def partition(self, alpha: float) -> float:
-        raise ValueError(
-            "no closed partition sum for this length law; set a truncation"
-        )
 
 
 @dataclass(frozen=True)
@@ -188,7 +182,7 @@ class LogLength(LengthLaw):
     base: float = math.e
 
     def __post_init__(self):
-        if self.base <= 1:
+        if _finite(self.base, "base") <= 1:
             raise ValueError("log length law needs base > 1")
 
     def __call__(self, i: int) -> float:
@@ -249,7 +243,7 @@ class MaxentSpec:
     truncation: int | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if _finite(self.alpha, "alpha") <= 0:
             raise ValueError("alpha must be positive")
         if self.truncation is not None and self.truncation < 1:
             raise ValueError("truncation must be >= 1")
@@ -265,11 +259,10 @@ class MaxentSpec:
                 [self.length_law(j) for j in range(1, self.truncation + 1)]
             )
             return float(np.exp(-self.alpha * lengths).sum())
-        if isinstance(self.length_law, LengthLaw):
-            return self.length_law.partition(self.alpha)
-        raise ValueError(
-            "infinite support with an arbitrary length law: set a truncation"
-        )
+        partition = getattr(self.length_law, "partition", None)
+        if partition is None:
+            raise ValueError("no closed partition sum for this length law; set a truncation")
+        return partition(self.alpha)
 
 
 def maxent_pmf(spec: MaxentSpec, i: int) -> float:
@@ -289,7 +282,7 @@ class ZetaParams:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 1:
+        if _finite(self.alpha, "alpha") <= 1:
             raise ValueError("zeta distribution needs alpha > 1")
 
     @cached_property
@@ -306,9 +299,9 @@ class ZipfMandelbrotParams:
     b: float
 
     def __post_init__(self):
-        if self.alpha <= 1:
+        if _finite(self.alpha, "alpha") <= 1:
             raise ValueError("Zipf-Mandelbrot needs alpha > 1")
-        if self.b <= 0:
+        if _finite(self.b, "b") <= 0:
             raise ValueError("Zipf-Mandelbrot needs offset b > 0")
 
     @cached_property
@@ -364,7 +357,7 @@ class EntropyValue:
     def __post_init__(self):
         if self.unit not in ("nats", "bits"):
             raise ValueError("unit must be 'nats' or 'bits'")
-        if self.value < -1e-12:
+        if _finite(self.value, "entropy") < -1e-12:
             raise ValueError("entropy must be nonnegative")
 
 
@@ -374,7 +367,7 @@ def _pmf_table(pmf: Callable[[int], float], truncation: int) -> np.ndarray:
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     p = np.array([pmf(i) for i in range(1, truncation + 1)], dtype=float)
-    if np.any(p < 0) or not p.any():
+    if not np.all(p >= 0) or not p.any():
         raise ValueError("pmf values must be nonnegative and not all zero")
     return p
 
@@ -391,7 +384,7 @@ def entropy(
         raise ValueError("unit must be 'nats' or 'bits'")
     p = _pmf_table(pmf, truncation)
     total = float(p.sum())
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:
         raise ValueError(
             f"pmf mass over the truncation is {total!r}; not normalized within 1e-6"
         )
@@ -506,7 +499,8 @@ def sample(family, seed, n: int, *, truncation: int | None = None) -> np.ndarray
     by table and all later draws at once; the same u always gives the same
     rank.  Ranks of 2^63 or more come back in an object array, and a draw
     whose rank would exceed 2**1023 (the float range of the offset r + b)
-    raises ValueError naming alpha.
+    raises ValueError naming alpha; a geometric rank of 2**63 or more, past
+    int64, raises ValueError naming q.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -522,6 +516,8 @@ def sample(family, seed, n: int, *, truncation: int | None = None) -> np.ndarray
     u = np.random.default_rng(seed).random(n)
     if isinstance(family, GeometricParams):
         k = np.ceil(np.log1p(-u) / math.log1p(-family.q))
+        if k.max() >= 2**63:
+            raise ValueError(f"a sampled rank exceeds the int64 range at q={family.q!r}")
         return np.maximum(k, 1.0).astype(np.int64)
     if isinstance(family, ZetaParams):
         return _power_family_ranks(family.alpha, 1.0, u)

@@ -144,6 +144,14 @@ class TestInputChecks:
                      id="Assignment-inf"),
         (lambda: Assignment([1.0, -1.0]), "assigned magnitudes must be nonnegative"),
         (lambda: CostFunction("identity", 1.0), "identity cost takes no parameter"),
+        pytest.param(lambda: CostFunction.power(math.nan), "power cost exponent must be finite",
+                     id="CostFunction-power-nan"),
+        pytest.param(lambda: CostFunction.power(math.inf), "power cost exponent must be finite",
+                     id="CostFunction-power-inf"),
+        pytest.param(lambda: CostFunction.exponential(math.nan),
+                     "exponential cost base must be finite", id="CostFunction-exponential-nan"),
+        pytest.param(lambda: CostFunction.exponential(math.inf),
+                     "exponential cost base must be finite", id="CostFunction-exponential-inf"),
         (lambda: brute_force_minimum(dist(0.5, 0.5), pool(1.0), IDENTITY),
          "pool of 1 magnitudes cannot cover 2 ranks"),
         (lambda: pearson_r([0.5, 0.5], [1.0, 2.0, 3.0]),

@@ -357,6 +357,36 @@ class TestInputChecks:
         (lambda: sample(ZETA_2, 0, 0), "n must be >= 1"),
         # the mean rounds to 1.0 in floats, so q = 1
         (lambda: fit_mle({1: 2**62, 2: 1}, "geometric"), "geometric MLE is degenerate for this data"),
+        # Non-finite parameters and fractional counts; the ids name the class and case.
+        pytest.param(lambda: hurwitz_zeta(math.nan, 1.0), "alpha must be finite",
+                     id="hurwitz_zeta-alpha-nan"),
+        pytest.param(lambda: hurwitz_zeta(math.inf, 1.0), "alpha must be finite",
+                     id="hurwitz_zeta-alpha-inf"),
+        pytest.param(lambda: hurwitz_zeta(2.0, math.nan), "b must be finite", id="hurwitz_zeta-b-nan"),
+        pytest.param(lambda: ZetaParams(math.nan), "alpha must be finite", id="ZetaParams-nan"),
+        pytest.param(lambda: ZetaParams(math.inf), "alpha must be finite", id="ZetaParams-inf"),
+        pytest.param(lambda: ZipfMandelbrotParams(math.nan, 1.0), "alpha must be finite",
+                     id="ZipfMandelbrotParams-alpha-nan"),
+        pytest.param(lambda: ZipfMandelbrotParams(2.0, math.nan), "b must be finite",
+                     id="ZipfMandelbrotParams-b-nan"),
+        pytest.param(lambda: ZipfMandelbrotParams(2.0, math.inf), "b must be finite",
+                     id="ZipfMandelbrotParams-b-inf"),
+        pytest.param(lambda: MaxentSpec(math.nan, LinearLength()), "alpha must be finite",
+                     id="MaxentSpec-nan"),
+        pytest.param(lambda: MaxentSpec(math.inf, LinearLength()), "alpha must be finite",
+                     id="MaxentSpec-inf"),
+        pytest.param(lambda: LogLength(math.nan), "base must be finite", id="LogLength-nan"),
+        pytest.param(lambda: LogLength(math.inf), "base must be finite", id="LogLength-inf"),
+        pytest.param(lambda: EntropyValue(math.nan, "nats"), "entropy must be finite",
+                     id="EntropyValue-nan"),
+        pytest.param(lambda: EntropyValue(math.inf, "bits"), "entropy must be finite",
+                     id="EntropyValue-inf"),
+        pytest.param(lambda: RankCounts([1.9, 2.2], [1, 1.99]), "ranks must be integers",
+                     id="RankCounts-fractional-ranks"),
+        pytest.param(lambda: RankCounts([1, 2], [1, 1.99]), "counts must be integers",
+                     id="RankCounts-fractional-counts"),
+        pytest.param(lambda: fit_mle([1.5, 2.7, 2.2], "geometric"), "ranks must be integers",
+                     id="fit_mle-fractional-ranks"),
     ])
     def test_rejected_with_its_message(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -476,13 +506,27 @@ class TestSampling:
         assert sample(spec, g1, n).tolist() == want.tolist()
         assert g1.random() == g2.random()
 
-    @pytest.mark.parametrize("values", [(0.75, -0.25, 0.5), (0.0, 0.0, 0.0)])
+    @pytest.mark.parametrize("values", [(0.75, -0.25, 0.5), (0.0, 0.0, 0.0), (0.5, math.nan, 0.5)])
     def test_negative_or_massless_pmf_rejected_by_sample_and_entropy(self, values):
         pmf = lambda i: values[i - 1]  # noqa: E731
         with pytest.raises(ValueError, match="nonnegative and not all zero"):
             sample(pmf, 1, 10, truncation=3)
         with pytest.raises(ValueError, match="nonnegative and not all zero"):
             entropy(pmf, 3)
+
+    def test_geometric_rank_past_int64_is_refused(self):
+        # most draws at q = 1e-19 pass 2**63, where the int64 cast wrapped
+        with pytest.raises(ValueError, match=r"^a sampled rank exceeds the int64 range at q=1e-19$"):
+            sample(GeometricParams(1e-19), 1, 4)
+
+    def test_geometric_ranks_below_2_63_are_int64_and_unchanged(self):
+        # at q = 1e-17 every draw is at most -ln(2**-53) / q < 2**63
+        ranks = sample(GeometricParams(1e-17), 1, 6)
+        assert ranks.dtype == np.int64
+        assert ranks.tolist() == [
+            71707441676109232, 300504947066252736, 15567138368438282,
+            296907957610747328, 37372148850921744, 55047894203183608,
+        ]
 
     def test_untruncated_code_length_spec_cannot_be_sampled(self):
         with pytest.raises(ValueError, match="cannot sample .* without a truncation"):

@@ -57,16 +57,30 @@ def _frozen_vector(values, what: str, dtype=float) -> np.ndarray:
     try:
         with np.errstate(invalid="ignore"):  # a float cast to garbage fails the test below
             arr = np.array(values, dtype=dtype, copy=True)
-    except OverflowError:
-        raise ValueError(f"{what} must fit in {np.dtype(dtype)}") from None
-    if arr.dtype.kind == "i" and not np.array_equal(arr, values):
-        raise ValueError(f"{what} must be integers")
+    except (OverflowError, ValueError):  # a list holding nan, inf or a value past the range
+        arr = None
+    if arr is None or arr.dtype.kind == "i" and not np.array_equal(arr, values):
+        raise ValueError(f"{what} must {_cast_fault(values, dtype)}")
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{what} must be a nonempty 1-D vector")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} must be finite")
     arr.flags.writeable = False
     return arr
+
+
+def _cast_fault(values, dtype) -> str:
+    """Why `values` has no exact copy in `dtype`: "be finite", "be integers" or
+    "fit in <dtype>", in that order.  The float copy only names the fault."""
+    try:
+        f = np.array(values, dtype=float)
+    except OverflowError:  # an int past the float range
+        return f"fit in {np.dtype(dtype)}"
+    if not np.all(np.isfinite(f)):
+        return "be finite"
+    if np.any(f != np.floor(f)):
+        return "be integers"
+    return f"fit in {np.dtype(dtype)}"
 
 
 @dataclass(frozen=True, eq=False)

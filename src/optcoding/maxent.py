@@ -363,12 +363,12 @@ class EntropyValue:
 
 def _pmf_table(pmf: Callable[[int], float], truncation: int) -> np.ndarray:
     """pmf(1), ..., pmf(truncation) as a float array, one call per rank;
-    negative values or a table with no mass raise ValueError."""
+    nan, inf, negative values or a table with no mass raise ValueError."""
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     p = np.array([pmf(i) for i in range(1, truncation + 1)], dtype=float)
-    if not np.all(p >= 0) or not p.any():
-        raise ValueError("pmf values must be nonnegative and not all zero")
+    if not np.all((p >= 0) & (p < math.inf)) or not p.any():
+        raise ValueError("pmf values must be finite, nonnegative and not all zero")
     return p
 
 
@@ -398,11 +398,12 @@ def _power_family_ranks(alpha: float, b: float, u: np.ndarray) -> np.ndarray:
 
     A cumulative table covers the first 2^16 ranks.  A draw u past it gets
     the smallest rank r >= 2^16 with hurwitz_zeta(alpha, r + b) <= (1 - u) Z.
-    All such draws are solved together in floats; that solve is only a
-    starting point, from which each rank is settled exactly on the scalar
-    predicate, so the same u always gives the same rank.  Ranks of 2^63 or
-    more make the result an object array.
+    Each such draw starts from the closed-form inverse of the tail's
+    integral plus half-term, (x - 1/2)^(1-alpha) / (alpha - 1), and is
+    settled exactly on the scalar predicate, so the same u always gives the
+    same rank.  Ranks of 2^63 or more make the result an object array.
     """
+    alpha = float(alpha)
     z = hurwitz_zeta(alpha, b)
     head = (np.arange(_SAMPLE_HEAD) + b) ** -alpha
     cdf = np.cumsum(head) / z
@@ -416,9 +417,9 @@ def _power_family_ranks(alpha: float, b: float, u: np.ndarray) -> np.ndarray:
             f"a sampled rank exceeds 2**1023, the float range of the offset "
             f"r + b, at alpha={alpha!r} (b={b!r})"
         )
-    x_lo, x_hi = float(_SAMPLE_HEAD + b), float(_RANK_LIMIT + b)
-    offsets = _tail_offsets(float(alpha), targets, x_lo, x_hi)
-    guesses = np.ceil(offsets - b).tolist()
+    with np.errstate(over="ignore", divide="ignore"):  # a start past 2**1023 is clipped
+        x0 = ((alpha - 1) * targets) ** (1 / (1 - alpha)) + 0.5
+    guesses = np.ceil(np.clip(x0, float(_SAMPLE_HEAD + b), float(_RANK_LIMIT + b)) - b).tolist()
     settled = [
         _settle_rank(alpha, b, t, int(g)) for t, g in zip(targets.tolist(), guesses)
     ]
@@ -427,29 +428,12 @@ def _power_family_ranks(alpha: float, b: float, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tail_offsets(alpha: float, t: np.ndarray, x_lo: float, x_hi: float) -> np.ndarray:
-    """Smallest float x in [x_lo, x_hi] with _em_tail(alpha, x) <= t, for all t at once.
-
-    Bisected on the int64 bit patterns of the floats, which order as
-    positive floats do, so at most 63 vectorized steps.  numpy's power may
-    differ from the scalar one in the last bit, so the result is only a
-    starting point for `_settle_rank`.
-    """
-    lo = np.full(t.size, np.float64(x_lo).view(np.int64) - 1)  # tail(lo) > t
-    hi = np.full(t.size, np.float64(x_hi).view(np.int64))  # tail(hi) <= t
-    open_ = np.arange(t.size)
-    while open_.size:
-        mid = lo[open_] + (hi[open_] - lo[open_]) // 2
-        ok = _em_tail(alpha, mid.view(np.float64)) <= t[open_]
-        hi[open_[ok]] = mid[ok]
-        lo[open_[~ok]] = mid[~ok]
-        open_ = open_[hi[open_] - lo[open_] > 1]
-    return hi.view(np.float64)
-
-
 def _settle_rank(alpha: float, b: float, t: float, guess: int) -> int:
     """Smallest rank r >= 2^16 with hurwitz_zeta(alpha, r + b) <= t, found from a guess.
 
+    The test is _em_tail(alpha, r + b) <= t, the same bit for bit at a float
+    alpha: past 2^16 the head length is 0 below alpha ~ 2490, so hurwitz_zeta
+    is 0.0 + _em_tail, and above alpha ~ 70 every term of both is 0.0.
     Gallops from the guess to a bracket, then bisects it.  Past 2^53
     neighbouring ranks share the float r + b, so steps start at its spacing
     and each distinct float is evaluated once.  Needs the predicate to hold
@@ -458,9 +442,9 @@ def _settle_rank(alpha: float, b: float, t: float, guess: int) -> int:
     seen: dict = {}
 
     def holds(r: int) -> bool:
-        x = r + b
+        x = float(r + b)
         if x not in seen:
-            seen[x] = hurwitz_zeta(alpha, x) <= t
+            seen[x] = _em_tail(alpha, x) <= t
         return seen[x]
 
     r = min(max(guess, _SAMPLE_HEAD), _RANK_LIMIT)
@@ -496,7 +480,8 @@ def sample(family, seed, n: int, *, truncation: int | None = None) -> np.ndarray
     index r - 1.
 
     Zeta, Zipf-Mandelbrot and log-length draws invert the first 2^16 ranks
-    by table and all later draws at once; the same u always gives the same
+    by table; a later draw starts from the closed-form inverse of the tail
+    and is settled on the tail formula, so the same u always gives the same
     rank.  Ranks of 2^63 or more come back in an object array, and a draw
     whose rank would exceed 2**1023 (the float range of the offset r + b)
     raises ValueError naming alpha; a geometric rank of 2**63 or more, past

@@ -137,6 +137,7 @@ class TestBuildTable:
         (("a", "b"), [2, 1], [1.0, math.nan], "magnitudes must be finite"),
         (("a", "b"), [2**63, 1], [1.0, 1.0], "frequencies must fit in int64"),
         (("a", "b"), [2.9, 1.5], [1.0, 1.0], "frequencies must be integers"),
+        (("a", "b"), [2, 1], [1.0, -1.0], "magnitudes must be nonnegative"),
     ])
     def test_validation_message(self, types, freqs, mags, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

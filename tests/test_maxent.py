@@ -387,6 +387,19 @@ class TestInputChecks:
                      id="RankCounts-fractional-counts"),
         pytest.param(lambda: fit_mle([1.5, 2.7, 2.2], "geometric"), "ranks must be integers",
                      id="fit_mle-fractional-ranks"),
+        # The message names the fault whatever the form of the input.
+        pytest.param(lambda: RankCounts([1, math.nan], [1, 1]), "ranks must be finite",
+                     id="RankCounts-list-nan"),
+        pytest.param(lambda: fit_mle([1, math.nan], "geometric"), "ranks must be finite",
+                     id="fit_mle-list-nan"),
+        pytest.param(lambda: RankCounts(np.array([1.0, math.nan]), [1, 1]), "ranks must be finite",
+                     id="RankCounts-array-nan"),
+        pytest.param(lambda: RankCounts(np.array([1.0, math.inf]), [1, 1]), "ranks must be finite",
+                     id="RankCounts-array-inf"),
+        pytest.param(lambda: RankCounts(np.array([1.0, 1e19]), [1, 1]),
+                     "ranks must fit in int64", id="RankCounts-array-1e19"),
+        pytest.param(lambda: RankCounts([1.0, 1e19], [1, 1]), "ranks must fit in int64",
+                     id="RankCounts-list-1e19"),
     ])
     def test_rejected_with_its_message(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -506,13 +519,23 @@ class TestSampling:
         assert sample(spec, g1, n).tolist() == want.tolist()
         assert g1.random() == g2.random()
 
-    @pytest.mark.parametrize("values", [(0.75, -0.25, 0.5), (0.0, 0.0, 0.0), (0.5, math.nan, 0.5)])
+    @pytest.mark.parametrize("values", [
+        (0.75, -0.25, 0.5), (0.0, 0.0, 0.0), (0.5, math.nan, 0.5), (0.5, math.inf, 0.5),
+    ])
     def test_negative_or_massless_pmf_rejected_by_sample_and_entropy(self, values):
         pmf = lambda i: values[i - 1]  # noqa: E731
         with pytest.raises(ValueError, match="nonnegative and not all zero"):
             sample(pmf, 1, 10, truncation=3)
         with pytest.raises(ValueError, match="nonnegative and not all zero"):
             entropy(pmf, 3)
+
+    def test_int_parameters_draw_as_their_floats(self):
+        # The int table (np.arange(m) + 1) ** -2 once raised "Integers to
+        # negative integer powers are not allowed"; most draws here are tail draws.
+        want = sample(ZipfMandelbrotParams(2.0, 1e6), 3, 2000)
+        assert np.count_nonzero(want > maxent._SAMPLE_HEAD) > 1000
+        assert sample(ZipfMandelbrotParams(2, 10**6), 3, 2000).tolist() == want.tolist()
+        assert sample(ZipfMandelbrotParams(2, 1), 3, 50).tolist() == sample(ZETA_2, 3, 50).tolist()
 
     def test_geometric_rank_past_int64_is_refused(self):
         # most draws at q = 1e-19 pass 2**63, where the int64 cast wrapped
@@ -614,18 +637,39 @@ class TestTailInversion:
         assert got.tolist() == want.tolist()
 
     def test_a_few_hurwitz_zeta_calls_per_tail_draw(self, monkeypatch):
-        calls = []
-        scalar = maxent.hurwitz_zeta
+        calls, tails = [], []
+        scalar, tail = maxent.hurwitz_zeta, maxent._em_tail
 
         def counted(alpha, b):
             calls.append(b)
             return scalar(alpha, b)
 
+        def counted_tail(alpha, x):
+            if np.ndim(x) == 0:
+                tails.append(x)
+            return tail(alpha, x)
+
         monkeypatch.setattr(maxent, "hurwitz_zeta", counted)
+        monkeypatch.setattr(maxent, "_em_tail", counted_tail)
         ranks = sample(ZetaParams(1.05), 12, 2000)
         n_tail = int(np.count_nonzero(ranks > maxent._SAMPLE_HEAD))
         assert n_tail > 500
         assert len(calls) < 3 * n_tail  # the per-draw bisection made about 73
+        # the settle starts at the inverse of the tail's leading terms
+        assert len(tails) < 5 * n_tail
+
+    def test_tail_formula_is_hurwitz_zeta_past_the_table(self):
+        # The settle tests _em_tail(alpha, x) in place of hurwitz_zeta(alpha, x)
+        # for x >= 2^16 + b.  The grid crosses alpha ~ 2490, where the head
+        # length leaves 0 and both sides have underflowed to 0.0.
+        with_head = 0
+        for alpha in (1 + 1e-9, 1.05, 2.0, 69.0, 71.0, 2000.0, 2480.0, 2500.0, 5000.0, 3.2e4):
+            for b in (1e-6, 1.0, 1e4, 1e12):
+                for x in (maxent._SAMPLE_HEAD + b, 1.5 * maxent._SAMPLE_HEAD + b,
+                          2.0**40 + b, 2.0**200, 2.0**1000):
+                    with_head += maxent._head_length(alpha, x) > 0
+                    assert hurwitz_zeta(alpha, x) == maxent._em_tail(alpha, x)
+        assert with_head > 0
 
     @pytest.mark.parametrize("alpha,b", [(1.05, 1.0), (1.3, 1e-6), (2.0, 1e6)])
     def test_settle_from_any_guess(self, alpha, b):

@@ -14,7 +14,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, compress, count, filterfalse, repeat
+from itertools import accumulate, chain, compress, count, filterfalse, repeat
 from operator import is_, methodcaller, mul
 from typing import Iterable, Mapping
 
@@ -89,16 +89,13 @@ class FrequencyTable:
     def size(self) -> int:
         return len(self.types)
 
-    def probabilities(self) -> np.ndarray:
-        return self.frequencies / self.total_tokens
-
     def ranked_distribution(self) -> assign.RankedDistribution:
-        return assign.RankedDistribution(self.probabilities())
+        return assign.RankedDistribution(self.frequencies / self.total_tokens)
 
 
 def _tokens(chunk: str, lowercase: bool, strip_punctuation: bool) -> Iterable[str]:
     """The tokens of one chunk: split, strip and drop the empty ones, in
-    iterator passes that `Counter.update` consumes without a token list.
+    iterator passes that `table_from_tokens` counts without a token list.
 
     Casefolding the whole chunk first gives the same tokens as folding each
     stripped token: casefold maps every P* and whitespace character to
@@ -138,13 +135,23 @@ def _grapheme_count(token: str) -> int:
 _MEASURES = {"chars": len, "graphemes": _grapheme_count}
 
 
-def _table_from_counts(
-    counts: Counter, magnitude: str, magnitudes: Mapping[str, float] | None
+def table_from_tokens(
+    tokens: Iterable[str],
+    *,
+    magnitude: str = "chars",
+    magnitudes: Mapping[str, float] | None = None,
 ) -> FrequencyTable:
-    """Table of counted types: frequency descending, ties in first-seen order."""
+    """Frequency table from an already-tokenized stream: frequency descending,
+    ties in first-seen order.
+
+    Magnitude defaults to the character count of each type ("graphemes"
+    counts extended grapheme clusters instead); a sidecar mapping overrides
+    the default per type.
+    """
     measure = _MEASURES.get(magnitude)
     if measure is None:
         raise ValueError(f"unknown magnitude mode {magnitude!r}")
+    counts = Counter(tokens)
     if not counts:
         raise ValueError("empty input: no tokens")
     # Counter keeps first-seen order, which the stable sort keeps among ties
@@ -163,21 +170,6 @@ def _table_from_counts(
     return FrequencyTable(ordered, freqs, mags, int(freqs.sum()))
 
 
-def table_from_tokens(
-    tokens: Iterable[str],
-    *,
-    magnitude: str = "chars",
-    magnitudes: Mapping[str, float] | None = None,
-) -> FrequencyTable:
-    """Frequency table from an already-tokenized stream.
-
-    Magnitude defaults to the character count of each type ("graphemes"
-    counts extended grapheme clusters instead); a sidecar mapping overrides
-    the default per type.
-    """
-    return _table_from_counts(Counter(tokens), magnitude, magnitudes)
-
-
 def build_table(
     source,
     *,
@@ -189,10 +181,10 @@ def build_table(
     """Frequency table from raw text (a string or an iterable of lines)."""
     if isinstance(source, str):
         source = [source]
-    counts = Counter()
-    for chunk in source:
-        counts.update(_tokens(chunk, lowercase, strip_punctuation))
-    return _table_from_counts(counts, magnitude, magnitudes)
+    tokens = chain.from_iterable(
+        map(_tokens, source, repeat(lowercase), repeat(strip_punctuation))
+    )
+    return table_from_tokens(tokens, magnitude=magnitude, magnitudes=magnitudes)
 
 
 @dataclass(frozen=True)
@@ -225,18 +217,19 @@ def abbreviation_analysis(table: FrequencyTable) -> AbbreviationResult:
 
 @dataclass(frozen=True, eq=False)
 class RecodingResult:
-    """Mean magnitude before and after optimal non-singular recoding; the
-    recoded `code_table` itself is built on first access."""
+    """Mean magnitude before and after optimal non-singular recoding of a
+    table; the recoded `code_table` itself is built on first access."""
 
     l_actual: float
     l_optimal: float
-    dist: assign.RankedDistribution = field(repr=False)
+    table: FrequencyTable = field(repr=False)
     alphabet: codebook.Alphabet = field(repr=False)
     l_min: int = 1
 
     @cached_property
     def code_table(self) -> codebook.CodeTable:
-        return codebook.optimal_nonsingular_code(self.dist, self.alphabet, self.l_min)
+        dist = self.table.ranked_distribution()
+        return codebook.optimal_nonsingular_code(dist, self.alphabet, self.l_min)
 
     @property
     def efficiency_ratio(self) -> float:
@@ -254,15 +247,17 @@ def optimal_recoding(
     magnitudes are character counts over the same alphabet.
     """
     codebook._require_l_min(l_min)
-    dist = table.ranked_distribution()
     blocks = codebook.block_counts(alphabet.size, l_min, table.size)
     # No BLAS sums: their order follows its thread count.  l_optimal is exact
     # at any l_min: a length block's token count times its length, in Python ints.
     n = table.total_tokens
     l_actual = float((table.frequencies * table.magnitudes).sum()) / n
     block_tokens = np.add.reduceat(table.frequencies, list(accumulate(blocks[:-1], initial=0)))
-    l_optimal = sum(map(mul, block_tokens.tolist(), count(l_min))) / n
-    return RecodingResult(l_actual, l_optimal, dist, alphabet, l_min)
+    try:
+        l_optimal = sum(map(mul, block_tokens.tolist(), count(l_min))) / n
+    except OverflowError:
+        raise ValueError(f"mean code length overflows a float at l_min = {l_min}") from None
+    return RecodingResult(l_actual, l_optimal, table, alphabet, l_min)
 
 
 def frequency_spectrum(table: FrequencyTable) -> dict[int, int]:

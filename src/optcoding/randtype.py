@@ -85,6 +85,15 @@ def _scale(params: RandomTypingParams) -> float:
     return params.p_s / power
 
 
+def _ratio(params: RandomTypingParams) -> float:
+    """(1 - p_s) / N, the word law's factor per letter; ValueError unless N
+    converts to a float."""
+    try:
+        return (1.0 - params.p_s) / params.N
+    except OverflowError:
+        raise ValueError(f"alphabet size N overflows a float at N = {params.N}") from None
+
+
 def word_probability(params: RandomTypingParams, l):
     """Probability of one specific word of length l, an int (giving a float)
     or an int array: p_s (1 - p_s)^(l - l_min) / N^l = scale * ((1 - p_s) / N)^l.
@@ -99,7 +108,7 @@ def word_probability(params: RandomTypingParams, l):
         raise ValueError(f"word length {shortest} is below l_min={params.l_min}")
     if np.max(l) > sys.float_info.max:
         raise ValueError("word length overflows a float")
-    ratio, lengths = (1.0 - params.p_s) / params.N, np.atleast_1d(l)
+    ratio, lengths = _ratio(params), np.atleast_1d(l)
     power = ratio ** lengths
     probs = scale * power
     low = np.flatnonzero(power < sys.float_info.min)
@@ -151,7 +160,7 @@ class AbbreviationLaw:
 def abbreviation_law(params: RandomTypingParams) -> AbbreviationLaw:
     """Constants of the exact length-vs-log-probability line."""
     _require_uniform(params)
-    a = 1.0 / math.log((1.0 - params.p_s) / params.N)
+    a = 1.0 / math.log(_ratio(params))
     b_const = -a * math.log(_scale(params))
     return AbbreviationLaw(a, b_const)
 

@@ -108,6 +108,23 @@ class TestLargeLmin:
         assert res.returncode == 3 and "overflows a float" in res.stderr
 
 
+class TestPastTheFloatRange:
+    # an N or l_min that does not convert to a float raised OverflowError
+    def test_figure_alphabet_size(self):
+        big = str(2**1030)
+        res = one_line_error("figure", "--N", big, "--ps", "0.5", "--imax", "2")
+        assert res.returncode == 3 and "alphabet size N overflows a float" in res.stderr
+        assert run("lengths", "--N", big, "--imax", "2").stdout == "i\tl_i\n1\t1\n2\t1\n"
+
+    @pytest.mark.parametrize("alphabet", [(), ("--alphabet", "a")], ids=["latin", "a"])
+    def test_analyze_lmin(self, tmp_path, alphabet):
+        (tmp_path / "t.txt").write_text("a b b c\n")
+        res = one_line_error("analyze", "--input", str(tmp_path / "t.txt"), *alphabet,
+                             "--lmin", str(2**1030), "--table-out", str(tmp_path / "table.tsv"))
+        assert res.returncode == 3 and "overflows a float at l_min" in res.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["t.txt"]
+
+
 class TestFigure:
     def test_csv_contract(self):
         out = run("figure", "--N", "26", "--ps", "0.18", "--lmin", "1",
@@ -644,7 +661,7 @@ class TestUsageErrors:
 
 # Flag values for the fuzz test.  Each invocation may swap one value for a
 # bad one, which any flag must survive.
-BAD = ["x", "-1", "", str(2**63)]
+BAD = ["x", "-1", "", str(2**63), str(2**1030)]
 
 
 def count(top):

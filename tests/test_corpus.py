@@ -111,6 +111,21 @@ class TestBuildTable:
         lines = ["a b b\n", "c c c\n"]
         assert build_table(lines).types == build_table("a b b c c c").types
 
+    def test_counts_through_table_from_tokens_once(self, monkeypatch):
+        # one counting path: every chunk reaches the public function, once
+        calls = []
+        counting = corpus.table_from_tokens
+
+        def wrapper(tokens, **kwargs):
+            calls.append(kwargs)
+            return counting(tokens, **kwargs)
+
+        monkeypatch.setattr(corpus, "table_from_tokens", wrapper)
+        table = build_table(["a b b\n", "c c c\n"], magnitudes={"b": 2.5})
+        assert calls == [{"magnitude": "chars", "magnitudes": {"b": 2.5}}]
+        assert table.types == ("c", "b", "a")
+        assert table.magnitudes.tolist() == [1.0, 2.5, 1.0]
+
     def test_sidecar_magnitudes_override(self):
         table = build_table("a b b", magnitudes={"b": 2.5})
         assert table.types == ("b", "a")
@@ -475,6 +490,13 @@ class TestOptimalRecoding:
     def test_optimal_mean_at_an_l_min_near_the_int64_limit(self):
         table = table_from_tokens(["a", "b", "b", "c", "c", "c"])
         assert optimal_recoding(table, LATIN, 2**62).l_optimal == 2.0**62
+
+    @pytest.mark.parametrize("alphabet", [AB, Alphabet.latin(1)], ids=["ab", "a"])
+    def test_l_min_past_the_float_range_is_a_value_error(self, alphabet):
+        # the exact mean code length divided to a float with OverflowError
+        table = table_from_tokens(["a", "b", "b"])
+        with pytest.raises(ValueError, match="overflows a float at l_min"):
+            optimal_recoding(table, alphabet, 2**1030)
 
     def test_empty_code_rejected_at_call_time(self):
         with pytest.raises(ValueError, match="allow_empty"):

@@ -137,6 +137,16 @@ class TestWordProbability:
         with pytest.raises(ValueError, match="overflows a float" if l_min < 2**63 else "int64"):
             rank_probabilities(params, 3)
 
+    def test_alphabet_size_past_the_float_range_is_a_value_error(self):
+        # (1 - p_s) / N raised OverflowError when N does not convert to a float
+        params = RandomTypingParams(2**1030, 0.5, 1)
+        for law in (lambda: word_probability(params, 1), lambda: rank_probability(params, 1),
+                    lambda: rank_probabilities(params, 3), lambda: figure2_data(params, 3),
+                    lambda: abbreviation_law(params)):
+            with pytest.raises(ValueError, match="alphabet size N overflows a float"):
+                law()
+        assert code_length_for_rank(2**1030, 1, np.arange(1, 4)).tolist() == [1, 1, 1]
+
     def test_length_past_the_float_range_is_a_value_error(self):
         with pytest.raises(ValueError, match="overflows a float"):
             word_probability(RandomTypingParams(2, 0.5, 1), 10**400)

@@ -311,6 +311,12 @@ def read_text(path) -> str:
         ) from exc
 
 
+# The line boundaries of str.splitlines besides "\n".
+_OTHER_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# Every byte but tab and newline: what `_parse_rows` deletes to see the row shape.
+_NOT_TAB_OR_NEWLINE = bytes(b for b in range(256) if b not in b"\t\n")
+
+
 def read_magnitudes(path) -> dict[str, float]:
     """Sidecar TSV of per-type magnitudes: `type<TAB>magnitude` per line.
 
@@ -318,20 +324,37 @@ def read_magnitudes(path) -> dict[str, float]:
     exactly one tab, a duplicate type, or a magnitude that is not a
     positive finite number raises ValueError naming its file and line.
     """
-    lines = read_text(path).splitlines()
-    rows = list(filterfalse(methodcaller("startswith", "#"), filter(str.strip, lines)))
-    tabs = list(map(str.count, rows, repeat("\t")))
-    if rows and min(tabs) == max(tabs) == 1:
-        cells = "\t".join(rows).split("\t")
-        try:
-            values = list(map(float, cells[1::2]))
-        except ValueError:  # the line walk below names the value
-            values = []
-        out = dict(zip(cells[0::2], values))  # a duplicate type leaves it short
-        checked = np.array(values)
-        if len(out) == len(rows) and np.all((checked > 0) & np.isfinite(checked)):
-            return out
-    raise _sidecar_error(path, lines)
+    text = read_text(path)
+    comments = "#" in text and (text.startswith("#") or "\n#" in text)
+    plain = not (comments or any(map(text.__contains__, _OTHER_BREAKS)))
+    out = _parse_rows(text) if plain else None
+    if out is None:  # comments, blank lines, other line ends, or a fault
+        lines = text.splitlines()
+        rows = filterfalse(methodcaller("startswith", "#"), filter(str.strip, lines))
+        out = _parse_rows("\n".join(rows) + "\n")
+        if out is None:
+            raise _sidecar_error(path, lines)
+    return out
+
+
+def _parse_rows(text: str) -> dict[str, float] | None:
+    """The magnitudes of a text that is nothing but `type<TAB>magnitude\\n`
+    rows, or None if it is anything else, has no rows, repeats a type, or
+    has a magnitude that is not a positive finite number."""
+    marks = text.encode().translate(None, _NOT_TAB_OR_NEWLINE)
+    rows = len(marks) // 2
+    if not rows or marks != b"\t\n" * rows:
+        return None
+    cells = text.replace("\n", "\t").split("\t")  # the last cell is the empty tail
+    try:
+        values = list(map(float, cells[1::2]))
+    except ValueError:
+        return None
+    out = dict(zip(cells[0::2], values))  # a duplicate type leaves it short
+    checked = np.fromiter(values, float, rows)
+    if len(out) == rows and np.all((checked > 0) & np.isfinite(checked)):
+        return out
+    return None
 
 
 def _sidecar_error(path, lines: list[str]) -> ValueError:

@@ -314,6 +314,16 @@ class TestReadHelpers:
             read_magnitudes(p)
         assert str(exc.value) == f"{p}:2: magnitude 'x' is not a number"
 
+    @pytest.mark.parametrize("text, want", [
+        ("a\t1\nb\t2", {"a": 1.0, "b": 2.0}),
+        ("a\t1\n#b\t2\n", {"a": 1.0}),
+        (" \t 5\n", {" ": 5.0}),
+    ])
+    def test_read_magnitudes_reads(self, tmp_path, text, want):
+        p = tmp_path / "ok.tsv"
+        p.write_bytes(text.encode())
+        assert read_magnitudes(p) == want
+
     def test_read_magnitudes_after_a_byte_order_mark(self, tmp_path):
         p = tmp_path / "bom.tsv"
         p.write_bytes("\ufeffthe\t0.5\nof\t2\n".encode())
@@ -329,6 +339,11 @@ class TestReadHelpers:
         ("a\tnan\nb\tx\n", ":1: magnitude must be positive and finite"),
         ("a\t1\nb\tinf\n", ":2: magnitude must be positive and finite"),
         ("# a\t1\n \t \n", ": no magnitude entries"),
+        # line ends a split at "\n" alone would read as part of the type
+        *(
+            (f"a{end}b\t1\n", ":1: expected `type<TAB>magnitude`")
+            for end in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+        ),
     ])
     def test_read_magnitudes_reports_the_first_bad_line(self, tmp_path, text, message):
         p = tmp_path / "bad.tsv"
@@ -380,27 +395,39 @@ def oracle_read_magnitudes(path):
 
 # Sidecar texts: mostly valid rows, with blank and comment lines, rows of 0
 # or 2 tabs, repeated types, values float() rejects or the reader refuses,
-# and line endings splitlines() splits at.
+# and line endings splitlines() splits at, the last one sometimes left off.
+# Half the files end every line with "\n" alone, the shape the reader parses
+# without splitting lines first.
 SIDE_TYPE = st.text(alphabet="abc1\u00e9# \u00a0", max_size=4)
 SIDE_ROW = st.builds(
     "{}\t{}".format, SIDE_TYPE, st.floats(min_value=1e-3, max_value=1e6).map(repr)
 )
 SIDE_NOISE = st.one_of(
-    st.sampled_from(["", "  ", " \t ", "#", "# a\t1", "#\t\t", "a", "a\t1\t", "\t"]),
+    st.sampled_from(["", "  ", " \t ", " \t 5", "#", "# a\t1", "#\t\t", "a", "a\t1\t", "\t"]),
     st.builds(
         "{}\t{}".format,
         SIDE_TYPE,
         st.sampled_from(["1", "0", "-1", "-0", "inf", "nan", "1_0", " 2 ", "x", "", "0x1"]),
     ),
+    st.builds("#{}".format, SIDE_ROW),
 )
+SIDE_ENDS = [
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+]
 SIDECAR = st.builds(
-    lambda bom, rows, ends: bom + "".join(r + e for r, e in zip(rows, ends)),
+    lambda bom, rows, ends, ended: bom + "".join(
+        map(str.__add__, rows, ends[: len(rows) - 1] + [ends[-1] * ended])
+    ),
     st.sampled_from(["", "\ufeff"]),
     st.one_of(
         st.lists(SIDE_ROW, min_size=1, max_size=8, unique_by=lambda row: row.split("\t")[0]),
         st.lists(st.one_of(SIDE_ROW, SIDE_NOISE), max_size=8),
     ),
-    st.lists(st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"]), min_size=8, max_size=8),
+    st.one_of(
+        st.just(["\n"] * 8),
+        st.lists(st.sampled_from(SIDE_ENDS), min_size=8, max_size=8),
+    ),
+    st.booleans(),
 )
 
 

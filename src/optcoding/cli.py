@@ -130,6 +130,8 @@ def _cmd_codes(args) -> dict:
     alphabet = codebook.Alphabet.from_string(args.alphabet)
     if args.ranks < 1:
         raise ValueError("--ranks must be >= 1")
+    if args.lmin == 0 and not args.allow_empty:
+        raise ValueError("--lmin 0 (the empty code string) needs --allow-empty")
     codebook.check_table_size(alphabet.size, args.lmin, args.ranks)
     dist = assign.RankedDistribution(np.full(args.ranks, 1.0 / args.ranks))
     table = codebook.optimal_nonsingular_code(

@@ -47,9 +47,6 @@ __all__ = [
     "fit_ranked",
 ]
 
-# The rank-distribution families `fit_mle` knows, in their default order.
-FAMILIES = ("zeta", "zipf-mandelbrot", "geometric")
-
 _LOG_TAIL_BOUND = math.log(1e-13)
 _LOG_30240 = math.log(30240.0)  # 6! / B_6, of the first omitted correction
 _SAMPLE_HEAD = 1 << 16
@@ -264,6 +261,17 @@ class MaxentSpec:
             raise ValueError("no closed partition sum for this length law; set a truncation")
         return partition(self.alpha)
 
+    def _ranks(self, u: np.ndarray) -> np.ndarray:
+        """Inverse-CDF ranks of the uniforms u: a truncated spec by its table,
+        an untruncated linear or log law as the geometric or zeta family it equals."""
+        if self.truncation is not None:
+            return _table_ranks(partial(maxent_pmf, self), self.truncation, u)
+        if isinstance(self.length_law, LinearLength):
+            return GeometricParams(1.0 - math.exp(-self.alpha))._ranks(u)
+        if isinstance(self.length_law, LogLength):
+            return ZetaParams(self.length_law.effective_exponent(self.alpha))._ranks(u)
+        raise ValueError("cannot sample this maxent spec without a truncation")
+
 
 def maxent_pmf(spec: MaxentSpec, i: int) -> float:
     """Probability of rank i under the maximum-entropy distribution."""
@@ -290,6 +298,24 @@ class ZetaParams:
         """riemann_zeta(alpha), computed on first use and then reused."""
         return riemann_zeta(self.alpha)
 
+    def _ranks(self, u: np.ndarray) -> np.ndarray:
+        return _power_family_ranks(self.alpha, 1.0, u)
+
+    @classmethod
+    def _fit(cls, rf: np.ndarray, cf: np.ndarray, n: int) -> tuple[dict, float]:
+        """MLE (params, log-likelihood) at ranks rf with counts cf summing to n:
+        a bounded scalar search on alpha."""
+        from scipy import optimize  # imported here: it is most of `import optcoding`
+
+        s = float(np.log(rf) @ cf)
+
+        def nll(a: float) -> float:
+            return a * s + n * math.log(riemann_zeta(a))
+
+        res = optimize.minimize_scalar(nll, bounds=(1.0 + 1e-9, 64.0), method="bounded",
+                                       options={"xatol": 1e-10})
+        return {"alpha": float(res.x)}, -float(res.fun)
+
 
 @dataclass(frozen=True)
 class ZipfMandelbrotParams:
@@ -309,6 +335,24 @@ class ZipfMandelbrotParams:
         """hurwitz_zeta(alpha, b), computed on first use and then reused."""
         return hurwitz_zeta(self.alpha, self.b)
 
+    def _ranks(self, u: np.ndarray) -> np.ndarray:
+        return _power_family_ranks(self.alpha, self.b, u)
+
+    @classmethod
+    def _fit(cls, rf: np.ndarray, cf: np.ndarray, n: int) -> tuple[dict, float]:
+        """MLE (params, log-likelihood) at ranks rf with counts cf summing to n:
+        L-BFGS-B on (alpha, b), started from the zeta fit's alpha at b = 1."""
+        from scipy import optimize  # imported here: it is most of `import optcoding`
+
+        # rank r sits at support index r - 1: weight (r - 1 + b)^(-alpha)
+        def nll(theta) -> float:
+            a, b = theta
+            return a * float(np.log(rf - 1.0 + b) @ cf) + n * _log_hurwitz_zeta(a, b)
+
+        res = optimize.minimize(nll, x0=[ZetaParams._fit(rf, cf, n)[0]["alpha"], 1.0],
+                                method="L-BFGS-B", bounds=[(1.0 + 1e-6, 64.0), (1e-6, 1e6)])
+        return {"alpha": float(res.x[0]), "b": float(res.x[1])}, -float(res.fun)
+
 
 @dataclass(frozen=True)
 class GeometricParams:
@@ -319,6 +363,29 @@ class GeometricParams:
     def __post_init__(self):
         if not 0 < self.q < 1:
             raise ValueError("geometric distribution needs q in (0, 1)")
+
+    def _ranks(self, u: np.ndarray) -> np.ndarray:
+        k = np.ceil(np.log1p(-u) / math.log1p(-self.q))
+        if k.max() >= 2**63:
+            raise ValueError(f"a sampled rank exceeds the int64 range at q={self.q!r}")
+        return np.maximum(k, 1.0).astype(np.int64)
+
+    @classmethod
+    def _fit(cls, rf: np.ndarray, cf: np.ndarray, n: int) -> tuple[dict, float]:
+        """MLE (params, log-likelihood) at ranks rf with counts cf summing to n:
+        the closed form q = 1/mean."""
+        mean = float(rf @ cf) / n
+        q = 1.0 / mean
+        if not 0 < q < 1:
+            raise ValueError("geometric MLE is degenerate for this data")
+        return {"q": q}, n * math.log(q) + float((rf - 1.0) @ cf) * math.log1p(-q)
+
+
+# The rank-distribution families `fit_mle` knows, in their default order; the
+# only place their names are spelled.
+_FAMILIES = {"zeta": ZetaParams, "zipf-mandelbrot": ZipfMandelbrotParams,
+             "geometric": GeometricParams}
+FAMILIES = tuple(_FAMILIES)
 
 
 def zeta_pmf(params: ZetaParams, i: int) -> float:
@@ -472,12 +539,14 @@ def sample(family, seed, n: int, *, truncation: int | None = None) -> np.ndarray
     """Draw n i.i.d. ranks (>= 1) by inverse CDF; deterministic per seed.
 
     Accepts GeometricParams, ZetaParams, ZipfMandelbrotParams, a MaxentSpec,
-    or a bare pmf callable.  An untruncated MaxentSpec with a linear or log
-    length law is sampled as the geometric or zeta family it equals; other
-    specs and callables need a truncation, and their table is renormalized
-    over it.  Every route inverts the same n uniforms, drawn once.  For the
-    Zipf-Mandelbrot family the returned rank r corresponds to support
-    index r - 1.
+    or a bare pmf callable; each family and spec draws its own ranks.  An
+    untruncated MaxentSpec with a linear or log length law is sampled as the
+    geometric or zeta family it equals; other specs need their own
+    truncation.  A bare pmf needs `truncation`, and its table is
+    renormalized over it; `truncation` with anything but a bare pmf raises
+    ValueError before any draw.  Every route inverts the same n uniforms,
+    drawn once.  For the Zipf-Mandelbrot family the returned rank r
+    corresponds to support index r - 1.
 
     Zeta, Zipf-Mandelbrot and log-length draws invert the first 2^16 ranks
     by table; a later draw starts from the closed-form inverse of the tail
@@ -489,32 +558,22 @@ def sample(family, seed, n: int, *, truncation: int | None = None) -> np.ndarray
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(family, MaxentSpec):
-        if family.truncation is not None:
-            family, truncation = partial(maxent_pmf, family), family.truncation
-        elif isinstance(family.length_law, LinearLength):
-            family = GeometricParams(1.0 - math.exp(-family.alpha))
-        elif isinstance(family.length_law, LogLength):
-            family = ZetaParams(family.length_law.effective_exponent(family.alpha))
-        else:
-            raise ValueError("cannot sample this maxent spec without a truncation")
+    if truncation is not None and hasattr(family, "_ranks"):
+        raise ValueError("truncation applies to a bare pmf only")
     u = np.random.default_rng(seed).random(n)
-    if isinstance(family, GeometricParams):
-        k = np.ceil(np.log1p(-u) / math.log1p(-family.q))
-        if k.max() >= 2**63:
-            raise ValueError(f"a sampled rank exceeds the int64 range at q={family.q!r}")
-        return np.maximum(k, 1.0).astype(np.int64)
-    if isinstance(family, ZetaParams):
-        return _power_family_ranks(family.alpha, 1.0, u)
-    if isinstance(family, ZipfMandelbrotParams):
-        return _power_family_ranks(family.alpha, family.b, u)
-    if callable(family):
-        if truncation is None:
-            raise ValueError("sampling a bare pmf needs a truncation")
-        p = _pmf_table(family, truncation)
-        cdf = np.cumsum(p) / p.sum()
-        return (np.searchsorted(cdf, u, side="left") + 1).astype(np.int64)
-    raise TypeError(f"cannot sample from {type(family).__name__}")
+    if hasattr(family, "_ranks"):
+        return family._ranks(u)
+    if not callable(family):
+        raise TypeError(f"cannot sample from {type(family).__name__}")
+    if truncation is None:
+        raise ValueError("sampling a bare pmf needs a truncation")
+    return _table_ranks(family, truncation, u)
+
+
+def _table_ranks(pmf: Callable[[int], float], truncation: int, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF ranks of the uniforms u under pmf(1..truncation), renormalized."""
+    p = _pmf_table(pmf, truncation)
+    return (np.searchsorted(np.cumsum(p) / p.sum(), u, side="left") + 1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -564,7 +623,7 @@ def _as_rank_counts(observed) -> RankCounts:
 
 
 def fit_mle(observed, family: str) -> FitResult:
-    """Maximum-likelihood parameters for "geometric", "zeta" or "zipf-mandelbrot".
+    """Maximum-likelihood parameters for one of FAMILIES.
 
     `observed` is a mapping rank -> count, a sequence of observed ranks or
     a `RankCounts`.  The geometric MLE is the closed form q = 1/mean; the power-law
@@ -575,45 +634,10 @@ def fit_mle(observed, family: str) -> FitResult:
     ranks, counts = observed.ranks, observed.counts
     if ranks.size < 2:
         raise ValueError("need at least 2 distinct observed ranks")
-    n = int(counts.sum())
-    rf = ranks.astype(float)
-    cf = counts.astype(float)
-
-    if family == "geometric":
-        mean = float(rf @ cf) / n
-        q = 1.0 / mean
-        if not 0 < q < 1:
-            raise ValueError("geometric MLE is degenerate for this data")
-        params, ll = {"q": q}, n * math.log(q) + float((rf - 1.0) @ cf) * math.log1p(-q)
-    elif family in ("zeta", "zipf-mandelbrot"):
-        from scipy import optimize  # imported here: it is most of `import optcoding`
-
-        s = float(np.log(rf) @ cf)
-
-        def nll(a: float) -> float:
-            return a * s + n * math.log(riemann_zeta(a))
-
-        res = optimize.minimize_scalar(
-            nll, bounds=(1.0 + 1e-9, 64.0), method="bounded",
-            options={"xatol": 1e-10},
-        )
-        params, ll = {"alpha": float(res.x)}, -float(res.fun)
-        if family == "zipf-mandelbrot":
-            # rank r sits at support index r - 1: weight (r - 1 + b)^(-alpha)
-            def zm_nll(theta) -> float:
-                a, b = theta
-                return a * float(np.log(rf - 1.0 + b) @ cf) + n * _log_hurwitz_zeta(a, b)
-
-            res = optimize.minimize(
-                zm_nll,
-                x0=[params["alpha"], 1.0],
-                method="L-BFGS-B",
-                bounds=[(1.0 + 1e-6, 64.0), (1e-6, 1e6)],
-            )
-            alpha, b = (float(v) for v in res.x)
-            params, ll = {"alpha": alpha, "b": b}, -float(res.fun)
-    else:
+    if family not in FAMILIES:  # the tuple: an unhashable name is unknown, not a TypeError
         raise ValueError(f"unknown family {family!r}")
+    n = int(counts.sum())
+    params, ll = _FAMILIES[family]._fit(ranks.astype(float), counts.astype(float), n)
     return FitResult(family, params, ll, n, (int(ranks[0]), int(ranks[-1])))
 
 

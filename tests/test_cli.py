@@ -48,7 +48,12 @@ class TestCodes:
     def test_empty_string_needs_flag(self):
         bad = run("codes", "--alphabet", "ab", "--ranks", "3", "--lmin", "0")
         assert bad.returncode == 3
-        good = run("codes", "--alphabet", "ab", "--ranks", "3", "--lmin", "0",
+        # the message names the flag, not the library's allow_empty keyword
+        assert bad.stderr == (
+            "optcoding: error: --lmin 0 (the empty code string) needs --allow-empty\n"
+        )
+        assert bad.stdout == ""
+        good =run("codes", "--alphabet", "ab", "--ranks", "3", "--lmin", "0",
                    "--allow-empty")
         assert good.stdout.splitlines()[1] == "1\t"
 

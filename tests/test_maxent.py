@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -555,6 +556,17 @@ class TestSampling:
         with pytest.raises(ValueError, match="cannot sample .* without a truncation"):
             sample(MaxentSpec(4.0, CodeLength(26)), 1, 10)
 
+    @pytest.mark.parametrize("family", [
+        ZetaParams(2.0), GeometricParams(0.01), ZipfMandelbrotParams(1.5, 2.0),
+        MaxentSpec(0.7, LinearLength()), MaxentSpec(0.1, LinearLength(), truncation=5),
+    ], ids=["zeta", "geometric", "zipf-mandelbrot", "spec", "truncated-spec"])
+    def test_truncation_is_for_a_bare_pmf_only(self, family):
+        # it was silently ignored: zeta(2) with truncation=100 drew ranks up to 2,911
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match=r"^truncation applies to a bare pmf only$"):
+            sample(family, rng, 2000, truncation=100)
+        assert rng.random() == np.random.default_rng(3).random()  # refused before drawing
+
     def test_non_family_rejected(self):
         with pytest.raises(TypeError, match="cannot sample from str"):
             sample("zeta", 1, 10)
@@ -566,6 +578,56 @@ class TestSampling:
             sample(pmf, 1, 10)
         ranks = sample(pmf, 1, 1000, truncation=64)
         assert ranks.min() >= 1 and ranks.max() <= 64
+
+
+def rank_digest(ranks) -> str:
+    """sha256 of the ranks written as comma-joined decimal integers."""
+    return hashlib.sha256(",".join(map(str, ranks.tolist())).encode()).hexdigest()
+
+
+# Seeded streams of `sample` at n = 3,000, recorded before the families drew
+# their own ranks: per route, the dtype and the rank_digest at seeds 0, 1 and 12.
+GOLDEN_STREAMS = [
+    pytest.param(GeometricParams(0.3), {}, "int64", (
+        "e5220955dc87f31a81c80d2bd55349e79a1a52f315d4242db6e98a27bfaad16c",
+        "22eed47e5a734b98a178505796ec38577c9a1243de3b72b67ac70ada6a4353e9",
+        "196cb9bde7d62b8606d26a8daaa65203a91856da4d879c0238e59ec6257ecd97"), id="geometric"),
+    pytest.param(ZetaParams(1.05), {}, "object", (  # tail ranks past 2**63
+        "ee30c15019ca7af2aa97a5c6d52f5fe3a0df104a074b1aa498b2d2aa9d06b5d4",
+        "e468923c483da99e5ec8460d4851065413fb1fea3b363c0577ca80c36fea3a25",
+        "d68a1995ebb74cad05ee75cbed45719537151bd98572fe2447e000333b73edc9"), id="zeta-1.05"),
+    pytest.param(ZetaParams(2.5), {}, "int64", (
+        "d301b0bb9eeac36afc00a5f45572ecd0e6161cb8fd30fe0ff9d2be276404e5cd",
+        "7ea0cde47db1a9440d374f20a72734911289b6fc9b6a38e834013b84d8cf1677",
+        "f177a0537febd0de4d2eda99699fbdcdfbf0bd76594ae4e7a039a78ae3903aa8"), id="zeta-2.5"),
+    pytest.param(ZipfMandelbrotParams(1.3, 2.5), {}, "int64", (
+        "c797d4d47492a6b18880b84603c33e43f33c3968a4631dce3b5a26c330aab461",
+        "bec3be565c44c8ae774c5e0d43da43b34593818ea9f77c1da6ca94a946b55654",
+        "1a3d9436c567187897ec268bc4d6436bf015e50ef7bc1914e946fd9a7e62f2c3"), id="zipf-mandelbrot"),
+    pytest.param(MaxentSpec(0.7, LinearLength()), {}, "int64", (
+        "4d1b14a022dba020bc1cce40adc9bb6dff5fbda34fa4ef3b8836f35765f6d5ba",
+        "aa3e25a3a95b1902de576f9720cbba2854a191f3e6a4725026dceb1958d5e8e5",
+        "6d48c0590bfc960eff17f5497ff3a62eab48c4d764dc36d4815c1c7c9fb6b33c"), id="linear-spec"),
+    pytest.param(MaxentSpec(2.0, LogLength(2.0)), {}, "int64", (
+        "c84ea934b15a31a6ee725dc33e38fbdc603486365d7df09d9bc481c7b09b8017",
+        "28cc8e96bb110529ba05bd6c25a3583b42661d19a615370098ab286240e189d0",
+        "38f54bbdf7bcb6fc32af3a53008b0b40c63637ef33bd21e9e34fb0e7ede81a14"), id="log-spec"),
+    pytest.param(MaxentSpec(1.2, CodeLength(2), truncation=500), {}, "int64", (
+        "fde88d8df2da9141fdb138dfe4c44210bb60ba239c9a0d668249619f879e4841",
+        "6195e82144d4262d014cc901d8723717ef0a48631a1bd64f573efa90fbf77c12",
+        "3d0203e76c980b62af45fa04a9f6734d821f9c9b8fc5ccca24fa9d21a24ee900"), id="code-spec"),
+    pytest.param(lambda i: i ** -1.5, {"truncation": 1000}, "int64", (
+        "86e3ba13d5362f1f9a3570915eb46a6ade88655d57ad3bbbd739a0a16613a90d",
+        "0661cd9452997420fb60da3e1cc29620f4e4ccb335162242d64c1ba46a24e0b4",
+        "940c0205d439f3d708cd5a24c069cd206c0f54f6d981ccbefafb129f82d2f903"), id="bare-pmf"),
+]
+
+class TestGoldenStreams:
+    @pytest.mark.parametrize("family, kwargs, dtype, digests", GOLDEN_STREAMS)
+    def test_seeded_stream_is_unchanged(self, family, kwargs, dtype, digests):
+        for seed, digest in zip((0, 1, 12), digests):
+            ranks = sample(family, seed, 3000, **kwargs)
+            assert (ranks.dtype, rank_digest(ranks)) == (np.dtype(dtype), digest), seed
 
 
 class TestTailInversion:
@@ -820,8 +882,30 @@ class TestFitting:
             fit_mle([], "geometric")
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown family 'lognormal'$"):
             fit_mle({1: 2, 2: 1}, "lognormal")
+        with pytest.raises(ValueError, match=r"^unknown family \['zeta'\]$"):
+            fit_mle({1: 2, 2: 1}, ["zeta"])  # unhashable: still unknown, not a TypeError
+        # the data check runs before the family lookup
+        with pytest.raises(ValueError, match="need at least 2 distinct observed ranks"):
+            fit_mle({3: 50}, "lognormal")
+
+    def test_families_come_from_the_one_registry(self):
+        assert maxent.FAMILIES == ("zeta", "zipf-mandelbrot", "geometric")
+        assert maxent.FAMILIES == tuple(maxent._FAMILIES)
+
+    @pytest.mark.parametrize("family, params, log_likelihood", [
+        ("zeta", {"alpha": 1.9948974472587957}, -4940.063712719619),
+        ("zipf-mandelbrot", {"alpha": 2.035981610106068, "b": 1.0620128219138687},
+         -4939.52798764894),
+        ("geometric", {"q": 0.20503007107709129}, -7422.769786400733),
+    ])
+    def test_fit_on_a_seeded_table_is_unchanged(self, family, params, log_likelihood):
+        # Recorded before each family fit itself; every bit must stay.  On this
+        # table q = n / sum(r c) differs from 1 / mean in the last bit.
+        ranks = sample(ZetaParams(2.0), 7, 3000)
+        want = maxent.FitResult(family, params, log_likelihood, 3000, (1, 1068))
+        assert fit_mle(ranks, family) == want
 
     def test_json_payload(self, tmp_path, capsys):
         data = tmp_path / "counts.tsv"

@@ -96,16 +96,28 @@ def one_line_error(*args):
     return res
 
 
+LMIN_COMMANDS = pytest.mark.parametrize("argv", [
+    ("lengths", "--N", "2", "--imax", "3"),
+    ("figure", "--N", "2", "--ps", "0.5", "--imax", "3"),
+    ("codes", "--alphabet", "ab", "--ranks", "3"),
+], ids=lambda argv: argv[0])
+
+
 class TestLargeLmin:
     # N**l_min as an exact integer hung these commands; a scale past the
     # float range printed nan (or raised ZeroDivisionError) in `figure`
-    @pytest.mark.parametrize("argv", [
-        ("lengths", "--N", "2", "--imax", "3"),
-        ("figure", "--N", "2", "--ps", "0.5", "--imax", "3"),
-        ("codes", "--alphabet", "ab", "--ranks", "3"),
-    ], ids=lambda argv: argv[0])
+    @LMIN_COMMANDS
     def test_lmin_past_int64_is_a_domain_error(self, argv):
         assert one_line_error(*argv, "--lmin", str(10**19)).returncode == 3
+
+    @LMIN_COMMANDS
+    def test_negative_lmin_names_the_flag(self, tmp_path, argv):
+        # the library's message named its l_min parameter, not the flag
+        target = tmp_path / "out.tsv"
+        res = one_line_error(*argv, "--lmin", "-1", "--output", str(target))
+        assert res.returncode == 3
+        assert res.stderr == "optcoding: error: --lmin must be >= 0, got -1\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("lmin", ["1030", "2000"])
     def test_figure_scale_past_the_float_range(self, lmin):
@@ -212,7 +224,7 @@ class TestRankTableBlocks:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == expected
 
-    @pytest.mark.parametrize("run", [1, 20])  # the row path and the block path
+    @pytest.mark.parametrize("run", [1, 20, 40])  # the row path, then records
     def test_signed_zeros_stay_apart(self, run):
         # 0.0 == -0.0, so a table keyed or split by value would merge them
         cells = ["0.0"] * run + ["-0.0"] * run + ["0.0"] * run
@@ -220,6 +232,31 @@ class TestRankTableBlocks:
         rows = [f"{i},{c}" for i, c in enumerate(cells, start=1)]
         assert cli._rank_table_text(("i", "v"), values, "csv") == "\n".join(["i,v", *rows]) + "\n"
         assert list(cli._cells(values)) == cells
+
+    def test_lengths_across_the_seventh_rank_digit(self, capsys):
+        # rank 10**6 falls inside the length-19 block of N = 2
+        assert cli.main(["lengths", "--N", "2", "--imax", "1000001"]) == 0
+        lengths = code_length_for_rank(2, 1, np.arange(1, 1_000_002)).tolist()
+        rows = [f"{i}\t{v}" for i, v in enumerate(lengths, start=1)]
+        # lines, not one string: pytest's diff of two long strings takes minutes
+        assert capsys.readouterr().out.split("\n") == ["i\tl_i", *rows, ""]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), fmt=st.sampled_from(["csv", "tsv"]))
+    def test_bytes_match_per_row_formatting(self, data, fmt):
+        # run lengths on either side of the row/records switch and of 10**k
+        lengths = st.integers(1, 12) | st.sampled_from([9, 10, 11, 89, 90, 91, 899, 900, 901])
+        if data.draw(st.booleans(), "floats"):
+            cells = st.floats() | st.sampled_from([0.0, -0.0])
+            dtype = np.float64
+        else:
+            cells, dtype = st.integers(-(2**63), 2**63 - 1), np.int64
+        runs = data.draw(st.lists(st.tuples(cells, lengths), min_size=1, max_size=20), "runs")
+        values = np.array([v for v, run in runs for _ in range(run)], dtype=dtype)
+        sep = cli._SEP[fmt]
+        rows = [f"{i}{sep}{v!r}" for i, v in enumerate(values.tolist(), start=1)]
+        text = cli._rank_table_text(("i", "v"), values, fmt)
+        assert text.split("\n") == [f"i{sep}v", *rows, ""]
 
 
 class TestSimulate:

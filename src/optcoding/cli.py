@@ -169,18 +169,19 @@ def _recoding_json(recoding: corpus.RecodingResult) -> dict:
     return {k: getattr(recoding, k) for k in ("l_actual", "l_optimal", "efficiency_ratio")}
 
 
-def _check_size(flag: str, value: int) -> None:
-    if not 1 <= value <= MAX_SIZE:
-        raise ValueError(f"{flag} must be in 1..{MAX_SIZE}, got {value}")
+def _check_size(flag: str, value: int, top: int | None = None) -> None:
+    top = MAX_SIZE if top is None else top  # looked up per call, so a patched cap applies
+    if not 1 <= value <= top:
+        raise ValueError(f"{flag} must be in 1..{top}, got {value}")
 
 
-def _check_lmin(lmin: int) -> None:
-    if lmin < 0:
-        raise ValueError(f"--lmin must be >= 0, got {lmin}")
+def _check_at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
 
 
 def _cmd_codes(args) -> dict:
-    _check_lmin(args.lmin)
+    _check_at_least("--lmin", args.lmin, 0)
     alphabet = codebook.Alphabet.from_string(args.alphabet)
     if args.ranks < 1:
         raise ValueError("--ranks must be >= 1")
@@ -204,16 +205,18 @@ def _cmd_codes(args) -> dict:
 # The rank tables pass their values unnamed, so that the renderer can free
 # them before it allocates the text's buffer.
 def _cmd_lengths(args) -> dict:
-    _check_lmin(args.lmin)
+    _check_at_least("--lmin", args.lmin, 0)
     _check_size("--imax", args.imax)
+    _check_at_least("--N", args.N, 1)
     return {args.output: _rank_table_text(("i", "l_i"), codebook.code_length_for_rank(
         args.N, args.lmin, np.arange(1, args.imax + 1)
     ), args.format)}
 
 
 def _cmd_figure(args) -> dict:
-    _check_lmin(args.lmin)
+    _check_at_least("--lmin", args.lmin, 0)
     _check_size("--imax", args.imax)
+    _check_at_least("--N", args.N, 1)
     params = randtype.RandomTypingParams(args.N, args.ps, args.lmin)
     return {args.output: _rank_table_text(
         ("i", "p_i"), randtype.figure2_data(params, args.imax)[1], args.format
@@ -227,12 +230,23 @@ def _check_recoding_lmin(lmin: int) -> None:
         raise ValueError(f"--lmin must be >= 1 (no empty code string), got {lmin}")
 
 
+def _letter_bias(text: str, n: int) -> np.ndarray:
+    """The --bias value: n comma-separated letter probabilities."""
+    try:
+        bias = np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        bias = None
+    if bias is None or bias.size != n:
+        raise ValueError(f"--bias must be {n} comma-separated numbers, got {text!r}")
+    return bias
+
+
 def _cmd_simulate(args) -> dict:
     _check_recoding_lmin(args.lmin)
     _check_size("--words", args.words)
-    bias = None
-    if args.bias is not None:
-        bias = np.array([float(x) for x in args.bias.split(",")])
+    _check_size("--N", args.N, 26)  # the latin letters
+    _check_at_least("--seed", args.seed, 0)
+    bias = None if args.bias is None else _letter_bias(args.bias, args.N)
     params = randtype.RandomTypingParams(args.N, args.ps, args.lmin, bias)
     words = randtype.generate(params, args.seed, args.words)
     table = corpus.table_from_tokens(words)
@@ -333,6 +347,7 @@ def _cmd_analyze(args) -> dict:
 
 def _cmd_oracle(args) -> dict:
     _check_size("--instances", args.instances)
+    _check_at_least("--seed", args.seed, 0)
     rng = np.random.default_rng(args.seed)
     costs = [
         assign.CostFunction.identity(),

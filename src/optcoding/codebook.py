@@ -12,6 +12,7 @@ with the Sardinas-Patterson procedure.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -156,6 +157,7 @@ class CodeClass:
 
 def string_count_through_length(N: int, l_min: int, l: int) -> int:
     """Number of distinct strings with length in [l_min, l] over N symbols."""
+    N, l_min, l = map(operator.index, (N, l_min, l))
     if N < 1:
         raise ValueError("alphabet size must be >= 1")
     if l < l_min:
@@ -169,16 +171,27 @@ def block_counts(N: int, l_min: int, V: int) -> list[int]:
     """How many of the first V strings have length l_min, l_min + 1, ..., in order.
 
     Every length below the longest one used holds its whole block of N**l
-    strings and the longest holds the rest: the count at length l is
-    min(N**l, V - string_count_through_length(N, l_min, l - 1)).  O(number
-    of lengths) exact integers.
+    strings and the longest holds the rest.  The one enumeration of length
+    blocks, in O(number of lengths) exact integers: N, l_min and V are
+    taken with `operator.index`, so a numpy integer never wraps in N**l.
     """
-    top = code_length_for_rank(N, l_min, V)  # also validates N, l_min and V
+    N, l_min, V = map(operator.index, (N, l_min, V))
+    if N < 1:
+        raise ValueError("alphabet size must be >= 1")
+    if l_min < 0:
+        raise ValueError("l_min must be nonnegative")
+    if V < 1:
+        raise ValueError("rank must be >= 1")
     if N == 1:
         return [1] * V
-    through = [string_count_through_length(N, l_min, l) for l in range(l_min - 1, top)]
-    through.append(V)
-    return [b - a for a, b in zip(through, through[1:])]
+    if l_min >= V.bit_length():  # N**l_min > V: every rank has length l_min
+        return [V]
+    blocks, size = [], N**l_min
+    while V > size:
+        blocks.append(size)
+        V -= size
+        size *= N
+    return blocks + [V]
 
 
 def code_length_for_rank(N: int, l_min: int, i):
@@ -187,49 +200,33 @@ def code_length_for_rank(N: int, l_min: int, i):
     Equals ceil(log_N((1 - 1/N) * i + N**(l_min - 1))) for N > 1 and
     i + l_min - 1 for N = 1.  `i` is a rank or an integer array of ranks:
     a rank gives a Python int (exact at any size), an array gives int64.
-    Lengths are read off the integer block bounds
-    `string_count_through_length`, so a rank exactly filling all strings
-    of a length never suffers float rounding.
+    Lengths are read off the `block_counts` of the largest rank, so a rank
+    exactly filling all strings of a length never suffers float rounding.
     """
-    if N < 1:
-        raise ValueError("alphabet size must be >= 1")
-    if l_min < 0:
-        raise ValueError("l_min must be nonnegative")
-    scalar = np.ndim(i) == 0
-    if scalar:
-        ranks = low = top = int(i)
-    else:
-        ranks = np.asarray(i, dtype=np.int64)
-        low, top = int(ranks.min(initial=1)), int(ranks.max(initial=1))
+    scalar, l_min = np.ndim(i) == 0, operator.index(l_min)
+    ranks = operator.index(i) if scalar else np.asarray(i, dtype=np.int64)
+    low, top = (ranks, ranks) if scalar else (ranks.min(initial=1), int(ranks.max(initial=1)))
+    blocks = block_counts(N, l_min, 1 if N == 1 else top)  # also validates N and l_min
     if low < 1:
         raise ValueError("rank must be >= 1")
-    if N == 1:
-        if not scalar and top + l_min - 1 >= 2**63:
-            raise ValueError("code lengths beyond the int64 range")
-        return ranks + (l_min - 1)
-    if l_min >= top.bit_length():  # N**l_min > top: every rank has length l_min
-        if scalar:
-            return l_min
-        if l_min >= 2**63:
-            raise ValueError("code lengths beyond the int64 range")
-        return np.full(ranks.shape, l_min, dtype=np.int64)
-    bounds = [string_count_through_length(N, l_min, l_min)]
-    while bounds[-1] < top:
-        bounds.append(string_count_through_length(N, l_min, l_min + len(bounds)))
+    longest = l_min + (top if N == 1 else len(blocks)) - 1
     if scalar:
-        return l_min + len(bounds) - 1
-    # Only the last bound can pass int64, and no rank lies beyond `top`.
-    bounds[-1] = top
-    return l_min + np.searchsorted(np.array(bounds, dtype=np.int64), ranks)
+        return longest
+    if longest >= 2**63:
+        raise ValueError("code lengths beyond the int64 range")
+    if N == 1:
+        return ranks + (l_min - 1)
+    # The block sums run up to the largest rank, so they fit in int64.
+    return l_min + np.searchsorted(np.cumsum(blocks, dtype=np.int64), ranks)
 
 
 def nth_string(alphabet: Alphabet, l_min: int, i: int) -> str:
     """The i-th string of length >= l_min, ordered by length then lexicographically."""
     N = alphabet.size
-    length = code_length_for_rank(N, l_min, i)
     if N == 1:
-        return alphabet.symbols[0] * length
-    offset = i - 1 - string_count_through_length(N, l_min, length - 1)
+        return alphabet.symbols[0] * code_length_for_rank(N, l_min, i)
+    blocks = block_counts(N, l_min, i)
+    length, offset = l_min + len(blocks) - 1, blocks[-1] - 1
     digits = []
     for _ in range(length):
         offset, d = divmod(offset, N)
@@ -242,9 +239,9 @@ def string_digits(N: int, l_min: int, V: int) -> list[np.ndarray]:
 
     One (count, length) matrix per length block, lengths l_min, l_min + 1,
     ... up to the longest used: row j of a block is the string at offset
-    j within it, as its base-N digits, most significant first, so rank i
-    of `nth_string` is row i - 1 - string_count_through_length(N, l_min,
-    length - 1) of its length's block.  Each block takes one `np.divmod`
+    j within it, as its base-N digits, most significant first: the string
+    that `nth_string` reads off the same `block_counts` at the rank that
+    ends at that row.  Each block takes one `np.divmod`
     over its offsets per significant digit; digits above those are 0.
     """
     blocks = []
@@ -311,6 +308,7 @@ def check_table_size(N: int, l_min: int, V: int) -> None:
     The total comes in closed form from the block counts, so the check
     costs nothing even for tables far too large to build.
     """
+    N, l_min, V = map(operator.index, (N, l_min, V))
     _require_l_min(l_min, allow_empty=True)
     if N == 1:
         chars = V * l_min + V * (V - 1) // 2

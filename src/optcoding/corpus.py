@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, filterfalse, repeat
-from operator import is_, methodcaller, mul
+from operator import index, is_, methodcaller, mul
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -246,6 +246,7 @@ def optimal_recoding(
     alphabet.  l_optimal <= l_actual is guaranteed only when the current
     magnitudes are character counts over the same alphabet.
     """
+    l_min = index(l_min)  # an exact int: a numpy integer would wrap in the sum below
     codebook._require_l_min(l_min)
     blocks = codebook.block_counts(alphabet.size, l_min, table.size)
     # No BLAS sums: their order follows its thread count.  l_optimal is exact

@@ -12,6 +12,7 @@ maximum-likelihood fitting.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -212,6 +213,8 @@ class CodeLength(LengthLaw):
     min_length: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "base_size", operator.index(self.base_size))
+        object.__setattr__(self, "min_length", operator.index(self.min_length))
         if self.base_size < 1:
             raise ValueError("base_size must be >= 1")
         if self.min_length < 0:

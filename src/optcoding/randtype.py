@@ -10,6 +10,7 @@ provides those closed forms, a seeded generator, and the optimality check.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -49,6 +50,8 @@ class RandomTypingParams:
     letter_bias: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "N", operator.index(self.N))
+        object.__setattr__(self, "l_min", operator.index(self.l_min))
         if self.N < 1:
             raise ValueError("alphabet size N must be >= 1")
         if not 0.0 < self.p_s < 1.0:
@@ -287,6 +290,7 @@ def verify_optimality(params: RandomTypingParams, i_max: int) -> OptimalityRepor
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
     N, l_min = params.N, params.l_min
+    codebook.check_table_size(N, l_min, i_max)
     lengths = codebook.code_length_for_rank(N, l_min, np.arange(1, i_max + 1))
     log_ratios = _log_probability_ratios(params, lengths)
     order = np.argsort(lengths, kind="stable")
@@ -296,7 +300,6 @@ def verify_optimality(params: RandomTypingParams, i_max: int) -> OptimalityRepor
     steps = np.diff(log_ratios)
     boundary = np.flatnonzero(np.diff(lengths) > 0)
     decreasing = not (np.any(steps > 0) or np.any(steps[boundary] >= 0))
-    codebook.check_table_size(N, l_min, i_max)
     blocks = codebook.string_digits(N, l_min, i_max)
     top = int(lengths.max())
     checks = {

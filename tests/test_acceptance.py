@@ -4,6 +4,7 @@ Each test prints a `criterion N (<name>): PASS` line on success; run with
 `pytest tests/test_acceptance.py -s` to see them as they complete.
 """
 
+import itertools
 import json
 import math
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 from scipy import stats
 
 import optcoding as oc
+from conftest import enumerated_strings
 from optcoding.corpus import table_from_tokens
 
 OK = "criterion {} ({}): PASS"
@@ -53,16 +55,19 @@ class TestCriterion1:
 
 class TestCriterion2:
     def test_length_rank_law(self):
-        """Closed-form length equals the enumerated string's length for
-        N in {1,2,3,5,26}, l_min in {0,1,2}, ranks up to 10**4."""
+        """Closed-form length, for a rank and for an array of ranks, and the
+        length of `nth_string` equal the length of the string that an
+        `itertools.product` enumeration lists at that rank, for N in
+        {1,2,3,5,26}, l_min in {0,1,2}, ranks up to 10**4."""
         start = time.monotonic()
+        ranks = range(1, 10_001)
         for n in (1, 2, 3, 5, 26):
             alphabet = oc.Alphabet.latin(n)
             for l_min in (0, 1, 2):
-                for i in range(1, 10_001):
-                    assert oc.code_length_for_rank(n, l_min, i) == len(
-                        oc.nth_string(alphabet, l_min, i)
-                    )
+                listed = [len(s) for s in itertools.islice(enumerated_strings(n, l_min), len(ranks))]
+                assert [oc.code_length_for_rank(n, l_min, i) for i in ranks] == listed
+                assert oc.code_length_for_rank(n, l_min, np.array(ranks)).tolist() == listed
+                assert [len(oc.nth_string(alphabet, l_min, i)) for i in ranks] == listed
         elapsed = time.monotonic() - start
         assert elapsed < 5.0, f"took {elapsed:.1f}s"
         done(2, "length-rank law")

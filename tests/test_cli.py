@@ -125,6 +125,32 @@ class TestLargeLmin:
         assert res.returncode == 3 and "overflows a float" in res.stderr
 
 
+# Values that the library refused with a message naming no flag, such as
+# "expected non-negative integer" or "could not convert string to float: 'a'"
+FLAG_ERRORS = [
+    (["simulate", "--N", "3", "--ps", "0.2", "--words", "10", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    (["oracle", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["simulate", "--N", "2", "--ps", "0.2", "--words", "10", "--bias", "a,b"],
+     "--bias must be 2 comma-separated numbers, got 'a,b'"),
+    (["simulate", "--N", "2", "--ps", "0.2", "--words", "10", "--bias", "0.5"],
+     "--bias must be 2 comma-separated numbers, got '0.5'"),
+    (["lengths", "--N", "0", "--imax", "3"], "--N must be >= 1, got 0"),
+    (["figure", "--N", "0", "--ps", "0.5", "--imax", "3"], "--N must be >= 1, got 0"),
+    (["simulate", "--N", "0", "--ps", "0.2", "--words", "10"], "--N must be in 1..26, got 0"),
+    (["simulate", "--N", "27", "--ps", "0.2", "--words", "10"], "--N must be in 1..26, got 27"),
+]
+
+
+class TestFlagErrors:
+    @pytest.mark.parametrize("argv, message", FLAG_ERRORS,
+                             ids=[" ".join(argv) for argv, _ in FLAG_ERRORS])
+    def test_message_names_the_flag(self, tmp_path, capsys, argv, message):
+        assert cli.main([*argv, "--output", str(tmp_path / "out.txt")]) == 3
+        assert capsys.readouterr() == ("", f"optcoding: error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestPastTheFloatRange:
     # an N or l_min that does not convert to a float raised OverflowError
     def test_figure_alphabet_size(self):
@@ -320,7 +346,7 @@ class TestSimulate:
         text_path = tmp_path / "typed.txt"
         assert cli.main(["simulate", "--N", "27", "--ps", "0.5", "--words", "10",
                          "--text-out", str(text_path)]) == 3
-        assert capsys.readouterr() == ("", "optcoding: error: latin alphabet supports 1..26 symbols\n")
+        assert capsys.readouterr() == ("", "optcoding: error: --N must be in 1..26, got 27\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_bias_flag(self):

@@ -2,6 +2,8 @@ import itertools
 import json
 import math
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import enumerated_strings
 from optcoding import cli
 from optcoding.assign import RankedDistribution
 from optcoding.codebook import (
     Alphabet,
     CodeClass,
     CodeTable,
+    block_counts,
     check_table_size,
     classify,
     code_length_for_rank,
@@ -178,9 +182,9 @@ class TestLengthForRank:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 26])
     @pytest.mark.parametrize("l_min", [0, 1, 2])
     def test_length_law_matches_enumeration(self, n, l_min):
-        alphabet = Alphabet.latin(n)
-        for i in range(1, 2000):
-            assert code_length_for_rank(n, l_min, i) == len(nth_string(alphabet, l_min, i))
+        lengths = [len(s) for s in itertools.islice(enumerated_strings(n, l_min), 1999)]
+        assert [code_length_for_rank(n, l_min, i) for i in range(1, 2000)] == lengths
+        assert code_length_for_rank(n, l_min, np.arange(1, 2000)).tolist() == lengths
 
     @pytest.mark.parametrize("n", [2, 3, 5, 26])
     @pytest.mark.parametrize("l_min", [0, 1, 2])
@@ -210,13 +214,16 @@ class TestLengthForRank:
         for l in blocks:
             end = string_count_through_length(n, l_min, l_min + l)
             ranks = ranks + [end, end + 1]
-        alphabet = Alphabet.latin(n)
         lengths = code_length_for_rank(n, l_min, np.array(ranks, dtype=np.int64))
         assert lengths.dtype == np.int64
         assert lengths.tolist() == [code_length_for_rank(n, l_min, i) for i in ranks]
-        assert lengths.tolist() == [len(nth_string(alphabet, l_min, i)) for i in ranks]
-        if n > 1:  # a scalar rank beyond int64 stays exact
-            assert code_length_for_rank(n, l_min, big) == len(nth_string(alphabet, l_min, big))
+
+        def bracketed(i, l):  # the strings shorter than l end before rank i, those through l reach it
+            through = string_count_through_length
+            return through(n, l_min, l - 1) < i <= through(n, l_min, l)
+
+        assert all(map(bracketed, ranks, lengths.tolist()))
+        assert bracketed(big, code_length_for_rank(n, l_min, big))  # exact beyond int64
 
     @pytest.mark.parametrize("n", [2, 3, 26])
     @pytest.mark.parametrize("l_min", [10**6, 2**63 - 1])
@@ -242,6 +249,77 @@ class TestLengthForRank:
             code_length_for_rank(2, 1, np.array([3, 0]))
         with pytest.raises(ValueError):  # int64 lengths would wrap around
             code_length_for_rank(1, 2**63 - 2, np.array([1, 3]))
+
+
+class TestAgainstEnumeration:
+    """Every reader of the length blocks against `enumerated_strings`, which
+    lists the strings with `itertools.product` and shares no code with them."""
+
+    @pytest.mark.parametrize("n, top", [(1, 40), (2, 11), (3, 7), (4, 6), (26, 3)])
+    @pytest.mark.parametrize("l_min", [0, 1, 2])
+    def test_every_rank_through_a_length(self, n, top, l_min):
+        strings = list(itertools.takewhile(lambda s: len(s) <= top, enumerated_strings(n, l_min)))
+        v, lengths = len(strings), [len(s) for s in strings]
+        alphabet = Alphabet.latin(n)
+        assert string_count_through_length(n, l_min, top) == v
+        assert [code_length_for_rank(n, l_min, i) for i in range(1, v + 1)] == lengths
+        assert code_length_for_rank(n, l_min, np.arange(1, v + 1)).tolist() == lengths
+        texts = ["".join(alphabet.symbols[k] for k in s) for s in strings]
+        assert [nth_string(alphabet, l_min, i) for i in range(1, v + 1)] == texts
+        assert [tuple(row) for d in string_digits(n, l_min, v) for row in d.tolist()] == strings
+        counts = []  # how many of the first i listed strings have each length
+        for i, length in enumerate(lengths, start=1):
+            if i > 1 and length == lengths[i - 2]:
+                counts[-1] += 1
+            else:
+                counts.append(1)
+            assert block_counts(n, l_min, i) == counts
+
+
+# Each call with its integer arguments wrapped in I: run as Python ints and as
+# numpy int64, the two must give the same value or the same error.  A child
+# process runs them under a timeout: an int64 that wraps in N**l can keep a
+# loop over lengths from ever ending.
+NUMPY_TWIN_SCRIPT = """
+import sys
+import numpy as np
+from optcoding import corpus
+from optcoding.codebook import *
+from optcoding.maxent import CodeLength
+from optcoding.randtype import *
+
+def outcome(I):
+    try:
+        value = eval(sys.argv[1], globals(), {"I": I})
+        return repr(value.tolist() if isinstance(value, np.ndarray) else value)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+print(outcome(int))
+print(outcome(np.int64))
+"""
+
+
+class TestNumpyIntegers:
+    @pytest.mark.parametrize("call", [
+        "code_length_for_rank(I(26), 1, 10**18)",
+        "code_length_for_rank(I(26), I(1), np.array([1, 10**18]))",
+        "CodeLength(I(10), 1)(10**19 - 1)",
+        "CodeLength(I(10), I(1)).min_length",
+        "string_count_through_length(I(10), 1, 20)",
+        "block_counts(I(10), I(1), 10**19)",
+        "nth_string(Alphabet.latin(26), I(1), 10**18)",
+        "check_table_size(1, I(2**40), I(2**40))",
+        "generate(RandomTypingParams(2, 0.5, I(2**61)), 0, 8)",
+        "rank_probability(RandomTypingParams(I(26), 0.18), 10**18)",
+        "corpus.optimal_recoding(corpus.table_from_tokens(['ab', 'ab', 'c']),"
+        " Alphabet.latin(3), I(2**62)).l_optimal",
+    ])
+    def test_same_outcome_as_python_ints(self, call):
+        out = subprocess.run([sys.executable, "-c", NUMPY_TWIN_SCRIPT, call],
+                             capture_output=True, text=True, timeout=60, check=True)
+        as_int, as_numpy = out.stdout.splitlines()
+        assert as_numpy == as_int
 
 
 class TestOptimalTable:

@@ -420,7 +420,12 @@ class TestVerifyOptimality:
             report = verify_optimality(params, 200)
             assert report.passed, report.checks
 
-    def test_unary_table_past_the_size_cap_is_refused(self):
+    def test_unary_table_past_the_size_cap_is_refused(self, monkeypatch):
+        # refused before any array of i_max ranks is built
+        def refuse(*args):
+            raise AssertionError("code_length_for_rank called")
+
+        monkeypatch.setattr(randtype.codebook, "code_length_for_rank", refuse)
         with pytest.raises(ValueError, match="characters"):
             verify_optimality(RandomTypingParams(1, 0.3, 1), 10**6)
 

@@ -28,8 +28,10 @@ EXIT_IO = 4
 _SEP = {"tsv": "\t", "csv": ","}
 
 # Most rows of `lengths` and `figure` and most words of `simulate`, so that more
-# is a domain error, not an out-of-memory kill.  At 10**7 rows `figure --N 3`
-# peaks at 0.63 GB of resident memory and `lengths --N 2` at 0.25 GB.
+# is a domain error, not an out-of-memory kill.  At 10**7 rows written to a file
+# (Python 3.11, numpy 2.4, x86-64 Linux), `figure --N 3` peaks at 0.61 GB of
+# resident memory and `lengths --N 2` at 0.24 GB; at N = 1, where each row is
+# its own block, `lengths` and `figure --ps 0.18` peak at 1.5 GB.
 MAX_SIZE = 10**7
 
 
@@ -94,10 +96,11 @@ def _rank_digits(n: int) -> dict[int, np.ndarray]:
     return tables
 
 
-def _rank_table_text(header: tuple[str, ...], values: np.ndarray, fmt: str) -> str:
-    """Rows `i, values[i - 1]`, i = 1..len(values).  Each run of equal values
-    (a length block of a rank law) is formatted once and written as records
-    by `_rank_records`, or else each row is formatted on its own.
+def _rank_table_text(header: tuple[str, ...], ends: np.ndarray, values: np.ndarray, fmt: str) -> str:
+    """Rows `i, values[k]` for the ranks i of run k: those after ends[k - 1]
+    (from 1 for k = 0) through ends[k].  A run is a length block of a rank
+    law.  Each run's value is formatted once and written as records by
+    `_rank_records`, or else spread over the rows, each formatted on its own.
 
     On a 2-vCPU x86-64 host (Python 3.11, numpy 2.4), records cost about 4 us
     a run and 50-80 us a table, and rows 0.5 us each for ints and 1.8 us for
@@ -107,13 +110,12 @@ def _rank_table_text(header: tuple[str, ...], values: np.ndarray, fmt: str) -> s
     for floats at L = 2 to 6.  So a table of r runs takes the row path below
     6 r + 50 rows: at N = 1, and where the records' fixed cost is not paid
     back.  repr is str for ints and floats, and a cheaper call."""
-    sep, n = _SEP[fmt], len(values)
-    bits = values.view(f"u{values.itemsize}")
-    starts = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()]
-    if 6 * len(starts) + 50 > n:
+    sep, n = _SEP[fmt], int(ends[-1])
+    if 6 * len(ends) + 50 > n:
+        values = np.repeat(values, np.diff(ends, prepend=0))
         return _table_text(header, (map(repr, range(1, n + 1)), map(repr, values.tolist())), fmt)
-    cells = f"\n{sep}".join(map(repr, values[starts].tolist()))
-    del values, bits  # a caller's temporary is freed before the records' buffer is made
+    cells = f"\n{sep}".join(map(repr, values.tolist()))
+    starts = [0, *ends[:-1].tolist()]
     return str(_rank_records(f"{sep.join(header)}\n", f"{sep}{cells}\n", starts, n).data, "ascii")
 
 
@@ -180,9 +182,20 @@ def _check_at_least(flag: str, value: int, low: int) -> None:
         raise ValueError(f"{flag} must be >= {low}, got {value}")
 
 
+def _check_ps(ps: float) -> None:
+    if not 0.0 < ps < 1.0:
+        raise ValueError(f"--ps must be strictly between 0 and 1, got {ps!r}")
+
+
+def _alphabet(text: str) -> codebook.Alphabet:
+    if not text or len(set(text)) != len(text):
+        raise ValueError(f"--alphabet must be one or more distinct symbols, got {text!r}")
+    return codebook.Alphabet.from_string(text)
+
+
 def _cmd_codes(args) -> dict:
     _check_at_least("--lmin", args.lmin, 0)
-    alphabet = codebook.Alphabet.from_string(args.alphabet)
+    alphabet = _alphabet(args.alphabet)
     if args.ranks < 1:
         raise ValueError("--ranks must be >= 1")
     if args.lmin == 0 and not args.allow_empty:
@@ -202,25 +215,24 @@ def _cmd_codes(args) -> dict:
     return {args.output: _table_text(("rank", "code"), (ranks, table.codes), args.format)}
 
 
-# The rank tables pass their values unnamed, so that the renderer can free
-# them before it allocates the text's buffer.
 def _cmd_lengths(args) -> dict:
     _check_at_least("--lmin", args.lmin, 0)
     _check_size("--imax", args.imax)
     _check_at_least("--N", args.N, 1)
-    return {args.output: _rank_table_text(("i", "l_i"), codebook.code_length_for_rank(
-        args.N, args.lmin, np.arange(1, args.imax + 1)
-    ), args.format)}
+    ends = np.cumsum(codebook.block_counts(args.N, args.lmin, args.imax))
+    lengths = codebook.code_length_for_rank(args.N, args.lmin, ends)
+    return {args.output: _rank_table_text(("i", "l_i"), ends, lengths, args.format)}
 
 
 def _cmd_figure(args) -> dict:
     _check_at_least("--lmin", args.lmin, 0)
     _check_size("--imax", args.imax)
     _check_at_least("--N", args.N, 1)
+    _check_ps(args.ps)
     params = randtype.RandomTypingParams(args.N, args.ps, args.lmin)
-    return {args.output: _rank_table_text(
-        ("i", "p_i"), randtype.figure2_data(params, args.imax)[1], args.format
-    )}
+    ends = np.cumsum(codebook.block_counts(args.N, args.lmin, args.imax))
+    probs = randtype.rank_probability(params, ends)
+    return {args.output: _rank_table_text(("i", "p_i"), ends, probs, args.format)}
 
 
 def _check_recoding_lmin(lmin: int) -> None:
@@ -238,6 +250,10 @@ def _letter_bias(text: str, n: int) -> np.ndarray:
         bias = None
     if bias is None or bias.size != n:
         raise ValueError(f"--bias must be {n} comma-separated numbers, got {text!r}")
+    if not np.all((bias > 0) & (bias < np.inf)):
+        raise ValueError(f"--bias entries must be positive and finite, got {text!r}")
+    if abs(float(bias.sum()) - 1.0) > 1e-9:  # RandomTypingParams' tolerance
+        raise ValueError(f"--bias must sum to 1, got {text!r}")
     return bias
 
 
@@ -246,6 +262,7 @@ def _cmd_simulate(args) -> dict:
     _check_size("--words", args.words)
     _check_size("--N", args.N, 26)  # the latin letters
     _check_at_least("--seed", args.seed, 0)
+    _check_ps(args.ps)
     bias = None if args.bias is None else _letter_bias(args.bias, args.N)
     params = randtype.RandomTypingParams(args.N, args.ps, args.lmin, bias)
     words = randtype.generate(params, args.seed, args.words)
@@ -318,7 +335,7 @@ def _cmd_fit(args) -> dict:
 
 def _cmd_analyze(args) -> dict:
     _check_recoding_lmin(args.lmin)
-    alphabet = codebook.Alphabet.from_string(args.alphabet)
+    alphabet = _alphabet(args.alphabet)
     text = corpus.read_text(args.input)
     magnitudes = (
         corpus.read_magnitudes(args.magnitudes) if args.magnitudes else None

@@ -354,8 +354,10 @@ def uniquely_decodable_lengths(dist: RankedDistribution, N: int) -> np.ndarray:
     probability within 1e-12 relative of N**-k counts as reaching it: that
     absorbs the representation error of values like 1/3 that have no exact
     float, at the price of the Kraft sum exceeding 1 by at most the same
-    sliver for inputs deliberately placed just under a boundary.
+    sliver for inputs deliberately placed just under a boundary.  N is taken
+    with `operator.index`, so a numpy integer never wraps in N**k.
     """
+    N = operator.index(N)
     if N < 2:
         raise ValueError("uniquely decodable lengths need an alphabet of size >= 2")
     if np.any(dist.probs <= 0):

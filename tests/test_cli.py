@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from optcoding import cli, maxent
-from optcoding.codebook import code_length_for_rank, string_count_through_length
+from optcoding import cli, codebook, maxent
+from optcoding.codebook import block_counts, code_length_for_rank, string_count_through_length
 from optcoding.randtype import RandomTypingParams, figure2_data
 
 CLI = [sys.executable, "-m", "optcoding"]
@@ -139,6 +139,23 @@ FLAG_ERRORS = [
     (["figure", "--N", "0", "--ps", "0.5", "--imax", "3"], "--N must be >= 1, got 0"),
     (["simulate", "--N", "0", "--ps", "0.2", "--words", "10"], "--N must be in 1..26, got 0"),
     (["simulate", "--N", "27", "--ps", "0.2", "--words", "10"], "--N must be in 1..26, got 27"),
+    *[(["simulate", "--N", "2", "--ps", "0.2", "--words", "10", "--bias", bias],
+       f"--bias entries must be positive and finite, got '{bias}'")
+      for bias in ["0.5,-0.5", "0.5,nan", "0.5,inf"]],
+    *[(["simulate", "--N", "2", "--ps", "0.2", "--words", "10", "--bias", bias],
+       f"--bias must sum to 1, got '{bias}'") for bias in ["0.3,0.3", "1,1"]],
+    (["figure", "--N", "2", "--ps", "1.5", "--imax", "3"],
+     "--ps must be strictly between 0 and 1, got 1.5"),
+    (["figure", "--N", "2", "--ps", "nan", "--imax", "3"],
+     "--ps must be strictly between 0 and 1, got nan"),
+    (["simulate", "--N", "2", "--ps", "0", "--words", "10"],
+     "--ps must be strictly between 0 and 1, got 0.0"),
+    (["codes", "--alphabet", "aa", "--ranks", "3"],
+     "--alphabet must be one or more distinct symbols, got 'aa'"),
+    (["codes", "--alphabet", "", "--ranks", "3"],
+     "--alphabet must be one or more distinct symbols, got ''"),
+    (["analyze", "--input", "absent.txt", "--alphabet", "aa"],
+     "--alphabet must be one or more distinct symbols, got 'aa'"),
 ]
 
 
@@ -250,14 +267,32 @@ class TestRankTableBlocks:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("n, lmin, imax", [(26, 1, 250_000), (2, 0, 1500), (3, 5, 10), (1, 1, 30)])
+    @pytest.mark.parametrize("command", ["lengths", "figure"])
+    def test_law_evaluated_once_per_block(self, monkeypatch, capsys, command, n, lmin, imax):
+        # the law is constant on a length block: 4 blocks hold 250,000 ranks at N = 26
+        sizes, law = [], codebook.code_length_for_rank
+
+        def spy(N, l_min, i):
+            sizes.append(np.size(i))
+            return law(N, l_min, i)
+
+        monkeypatch.setattr(codebook, "code_length_for_rank", spy)
+        flags = ["--ps", "0.3"] if command == "figure" else []
+        argv = [command, "--N", str(n), "--lmin", str(lmin), "--imax", str(imax), *flags]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.count("\n") == imax + 1
+        assert sizes == [len(block_counts(n, lmin, imax))]
+
     @pytest.mark.parametrize("run", [1, 20, 40])  # the row path, then records
     def test_signed_zeros_stay_apart(self, run):
         # 0.0 == -0.0, so a table keyed or split by value would merge them
         cells = ["0.0"] * run + ["-0.0"] * run + ["0.0"] * run
-        values = np.array(list(map(float, cells)))
+        ends, values = np.array([run, 2 * run, 3 * run]), np.array([0.0, -0.0, 0.0])
         rows = [f"{i},{c}" for i, c in enumerate(cells, start=1)]
-        assert cli._rank_table_text(("i", "v"), values, "csv") == "\n".join(["i,v", *rows]) + "\n"
-        assert list(cli._cells(values)) == cells
+        text = cli._rank_table_text(("i", "v"), ends, values, "csv")
+        assert text == "\n".join(["i,v", *rows]) + "\n"
+        assert list(cli._cells(np.array(list(map(float, cells))))) == cells
 
     def test_lengths_across_the_seventh_rank_digit(self, capsys):
         # rank 10**6 falls inside the length-19 block of N = 2
@@ -278,10 +313,12 @@ class TestRankTableBlocks:
         else:
             cells, dtype = st.integers(-(2**63), 2**63 - 1), np.int64
         runs = data.draw(st.lists(st.tuples(cells, lengths), min_size=1, max_size=20), "runs")
-        values = np.array([v for v, run in runs for _ in range(run)], dtype=dtype)
+        values = np.array([v for v, _ in runs], dtype=dtype)
+        ends = np.cumsum([run for _, run in runs])
         sep = cli._SEP[fmt]
-        rows = [f"{i}{sep}{v!r}" for i, v in enumerate(values.tolist(), start=1)]
-        text = cli._rank_table_text(("i", "v"), values, fmt)
+        per_row = (v for v, run in runs for _ in range(run))
+        rows = [f"{i}{sep}{v!r}" for i, v in enumerate(per_row, start=1)]
+        text = cli._rank_table_text(("i", "v"), ends, values, fmt)
         assert text.split("\n") == [f"i{sep}v", *rows, ""]
 
 
@@ -588,9 +625,9 @@ class TestAnalyze:
 
 class TestSizeCap:
     @pytest.mark.parametrize("argv, stage", [
-        (["lengths", "--N", "2", "--imax", "1000000000000"], "codebook.code_length_for_rank"),
+        (["lengths", "--N", "2", "--imax", "1000000000000"], "codebook.block_counts"),
         (["figure", "--N", "2", "--ps", "0.3", "--imax", "1000000000000"],
-         "randtype.figure2_data"),
+         "codebook.block_counts"),
         (["simulate", "--N", "2", "--ps", "0.3", "--words", "100000000000",
           "--text-out", "typed.txt"], "randtype.generate"),
         (["oracle", "--instances", "100000000000"], "assign.optimal_assignment"),

@@ -284,6 +284,7 @@ NUMPY_TWIN_SCRIPT = """
 import sys
 import numpy as np
 from optcoding import corpus
+from optcoding.assign import RankedDistribution
 from optcoding.codebook import *
 from optcoding.maxent import CodeLength
 from optcoding.randtype import *
@@ -310,6 +311,7 @@ class TestNumpyIntegers:
         "block_counts(I(10), I(1), 10**19)",
         "nth_string(Alphabet.latin(26), I(1), 10**18)",
         "check_table_size(1, I(2**40), I(2**40))",
+        "uniquely_decodable_lengths(RankedDistribution([0.5, 0.5 - 1e-12, 1e-12]), I(10))",
         "generate(RandomTypingParams(2, 0.5, I(2**61)), 0, 8)",
         "rank_probability(RandomTypingParams(I(26), 0.18), 10**18)",
         "corpus.optimal_recoding(corpus.table_from_tokens(['ab', 'ab', 'c']),"

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -31,7 +32,7 @@ _SEP = {"tsv": "\t", "csv": ","}
 # is a domain error, not an out-of-memory kill.  At 10**7 rows written to a file
 # (Python 3.11, numpy 2.4, x86-64 Linux), `figure --N 3` peaks at 0.61 GB of
 # resident memory and `lengths --N 2` at 0.24 GB; at N = 1, where each row is
-# its own block, `lengths` and `figure --ps 0.18` peak at 1.5 GB.
+# its own block, `lengths` peaks at 0.87 GB and `figure --ps 0.18` at 0.80 GB.
 MAX_SIZE = 10**7
 
 
@@ -78,9 +79,13 @@ def _cells(values: np.ndarray):
 
 
 def _table_text(header: tuple[str, ...], columns, fmt: str) -> str:
-    """The header line, then one line per row; `columns` hold the cells as strings."""
+    """The header line, then one line per row; `columns` hold the cells as
+    strings.  Rows are joined 2**16 at a time, so no list of every row's
+    string is built."""
     sep = _SEP[fmt]
-    return "\n".join([sep.join(header), *map(sep.join, zip(*columns))]) + "\n"
+    rows = map(sep.join, zip(*columns))  # never "": every table has two or more columns
+    chunks = iter(lambda: "\n".join(islice(rows, 2**16)), "")
+    return "\n".join([sep.join(header), *chunks, ""])
 
 
 def _rank_digits(n: int) -> dict[int, np.ndarray]:
@@ -99,49 +104,38 @@ def _rank_digits(n: int) -> dict[int, np.ndarray]:
 def _rank_table_text(header: tuple[str, ...], ends: np.ndarray, values: np.ndarray, fmt: str) -> str:
     """Rows `i, values[k]` for the ranks i of run k: those after ends[k - 1]
     (from 1 for k = 0) through ends[k].  A run is a length block of a rank
-    law.  Each run's value is formatted once and written as records by
-    `_rank_records`, or else spread over the rows, each formatted on its own.
-
-    On a 2-vCPU x86-64 host (Python 3.11, numpy 2.4), records cost about 4 us
-    a run and 50-80 us a table, and rows 0.5 us each for ints and 1.8 us for
-    floats.  On 4e5 rows in runs of L equal values, records took 5.0, 3.3,
-    2.5, 2.0, 1.7, 1.3, 1.05 and 0.90 times the row path's time for ints at
-    L = 2, 3, 4, 5, 6, 8, 10 and 12, and 1.7, 1.2, 0.90, 0.73 and 0.62 times
-    for floats at L = 2 to 6.  So a table of r runs takes the row path below
-    6 r + 50 rows: at N = 1, and where the records' fixed cost is not paid
-    back.  repr is str for ints and floats, and a cheaper call."""
+    law.  Where every run is one row (N = 1, or a one-row table), the rows
+    are formatted one by one; otherwise each run's tail is formatted once
+    and `_rank_records` writes the runs.  repr is str for ints and floats,
+    and a cheaper call."""
     sep, n = _SEP[fmt], int(ends[-1])
-    if 6 * len(ends) + 50 > n:
-        values = np.repeat(values, np.diff(ends, prepend=0))
+    if len(ends) == n:
         return _table_text(header, (map(repr, range(1, n + 1)), map(repr, values.tolist())), fmt)
-    cells = f"\n{sep}".join(map(repr, values.tolist()))
-    starts = [0, *ends[:-1].tolist()]
-    return str(_rank_records(f"{sep.join(header)}\n", f"{sep}{cells}\n", starts, n).data, "ascii")
+    tails = [f"{sep}{v!r}\n".encode() for v in values.tolist()]
+    return str(_rank_records(f"{sep.join(header)}\n".encode(), tails, ends.tolist()).data, "ascii")
 
 
-def _rank_records(head: str, tails: str, starts: list[int], n: int) -> np.ndarray:
-    """The ASCII bytes of `head`, then of rows 1..n: each row is its rank's
-    digits and the tail of its run.  `tails` holds one newline-ended tail per
-    run, and `starts` the first row of each (from 0).
+def _rank_records(head: bytes, tails: list[bytes], ends: list[int]) -> np.ndarray:
+    """The ASCII bytes of `head`, then of rows 1..ends[-1]: each row is its
+    rank's digits and the tail of its run.  Run k holds the rows after
+    ends[k - 1] (from 0 for k = 0) through ends[k], each ended by tails[k].
 
     A run cut where the rank gains a digit is a segment of fixed-width rows,
     so it is written as a (rows, width) view of one uint8 buffer: its digits
     copied from `_rank_digits`, its tail broadcast."""
-    tail_bytes = np.frombuffer(tails.encode(), np.uint8)
-    tail_ends = (np.flatnonzero(tail_bytes == ord("\n")) + 1).tolist()
-    table = _rank_digits(n)
-    tail_total = np.diff([0, *tail_ends]) @ np.diff([*starts, n])
-    buf = np.empty(len(head) + sum(t.size for t in table.values()) + int(tail_total), np.uint8)
-    buf[: len(head)] = np.frombuffer(head.encode(), np.uint8)
+    table = _rank_digits(ends[-1])
+    starts = [0, *ends]
+    tail_total = sum(len(tail) * (end - start) for start, end, tail in zip(starts, ends, tails))
+    buf = np.empty(len(head) + sum(t.size for t in table.values()) + tail_total, np.uint8)
+    buf[: len(head)] = np.frombuffer(head, np.uint8)
     at = len(head)
-    for start, end, tail_start, tail_end in zip(starts, [*starts[1:], n], [0, *tail_ends], tail_ends):
-        tail = tail_bytes[tail_start:tail_end]
+    for start, end, tail in zip(starts, ends, tails):
         while start < end:  # a segment: the rows of the run whose ranks have d digits
             d = len(str(start + 1))
             stop, skip = min(end, 10**d - 1), 10 ** (d - 1) - 1  # skip: rows before table d
             records = buf[at : at + (stop - start) * (d + len(tail))].reshape(stop - start, -1)
             records[:, :d] = table[d][start - skip : stop - skip]
-            records[:, d:] = tail
+            records[:, d:] = np.frombuffer(tail, np.uint8)
             at += records.size
             start = stop
     return buf
@@ -292,7 +286,7 @@ def _int_or_none(cell: str) -> int | None:
         return int(cell)
     except ValueError as exc:
         if not str(exc).startswith("invalid literal"):
-            raise  # an integer past int()'s digit limit is not a header
+            raise  # an integer past int()'s digit limit keeps int()'s message
         return None
 
 
@@ -303,8 +297,11 @@ def _read_rank_counts(path) -> dict[int, int]:
         for lineno, line in enumerate(text.splitlines(), start=1)
         if line.strip() and not line.strip().startswith("#")
     ]
-    if rows and rows[0][1] and _int_or_none(rows[0][1][0]) is None:
-        rows = rows[1:]  # header: a first row whose first cell is not an integer
+    if rows and rows[0][1]:
+        try:
+            float(rows[0][1][0])
+        except ValueError:
+            rows = rows[1:]  # header: a first row whose first cell is not a number
     out: dict[int, int] = {}
     for lineno, parts in rows:
         if len(parts) != 2:

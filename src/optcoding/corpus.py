@@ -93,37 +93,30 @@ class FrequencyTable:
         return assign.RankedDistribution(self.frequencies / self.total_tokens)
 
 
-def _tokens(chunk: str, lowercase: bool, strip_punctuation: bool) -> Iterable[str]:
-    """The tokens of one chunk: split, strip and drop the empty ones, in
-    iterator passes that `table_from_tokens` counts without a token list.
-
-    Casefolding the whole chunk first gives the same tokens as folding each
-    stripped token: casefold maps every P* and whitespace character to
-    itself and no other character to one (or to nothing), so the split
-    points, the stripped ends and the empty tokens stay where they were.
-    Stripping with P* characters absent from the chunk changes nothing, so
-    an ASCII chunk strips with `_ASCII_PUNCT` without looking at its
-    characters.
-    """
-    if lowercase:
-        chunk = chunk.casefold()
-    tokens = chunk.split()
-    if not strip_punctuation:
-        return tokens
-    if chunk.isascii():
-        punct = _ASCII_PUNCT
-    else:
-        punct = "".join(c for c in set(chunk) if unicodedata.category(c).startswith("P"))
-    return filter(None, map(str.strip, tokens, repeat(punct)))
-
-
 def tokenize(text: str, *, lowercase: bool = False, strip_punctuation: bool = True) -> list[str]:
     """Whitespace tokenization with optional case folding and punctuation strip.
 
     Punctuation stripping removes leading and trailing characters whose
     Unicode category is P*; tokens empty after stripping are dropped.
+
+    Casefolding the whole text first gives the same tokens as folding each
+    stripped token: casefold maps every P* and whitespace character to
+    itself and no other character to one (or to nothing), so the split
+    points, the stripped ends and the empty tokens stay where they were.
+    Stripping with P* characters absent from the text changes nothing, so
+    an ASCII text strips with `_ASCII_PUNCT` without looking at its
+    characters.
     """
-    return list(_tokens(text, lowercase, strip_punctuation))
+    if lowercase:
+        text = text.casefold()
+    tokens = text.split()
+    if not strip_punctuation:
+        return tokens
+    if text.isascii():
+        punct = _ASCII_PUNCT
+    else:
+        punct = "".join(c for c in set(text) if unicodedata.category(c).startswith("P"))
+    return list(filter(None, map(str.strip, tokens, repeat(punct))))
 
 
 def _grapheme_count(token: str) -> int:
@@ -182,7 +175,7 @@ def build_table(
     if isinstance(source, str):
         source = [source]
     tokens = chain.from_iterable(
-        map(_tokens, source, repeat(lowercase), repeat(strip_punctuation))
+        tokenize(chunk, lowercase=lowercase, strip_punctuation=strip_punctuation) for chunk in source
     )
     return table_from_tokens(tokens, magnitude=magnitude, magnitudes=magnitudes)
 

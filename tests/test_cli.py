@@ -457,6 +457,11 @@ class TestFit:
         ("1\t10\n2\tabc\n", 2, "count 'abc'"),
         ("rank\tcount\n1\t10\n\n2.5\t3\n", 4, "rank '2.5'"),
         ("# note\n1\tx1\n", 2, "count 'x1'"),
+        # a number that is not an integer is a bad first row, not a header:
+        # this one was dropped, which left n = 40 of 540 on support [2, 3]
+        ("1.0\t500\n2\t30\n3\t10\n", 1, "rank '1.0'"),
+        ("1e0\t500\n2\t30\n", 1, "rank '1e0'"),
+        ("# note\n\n2.5\t3\n4\t1\n", 3, "rank '2.5'"),
     ])
     def test_bad_cell_names_its_line(self, tmp_path, capsys, rows, line, cell):
         data = tmp_path / "counts.tsv"
@@ -664,6 +669,28 @@ class TestSizeCap:
         assert res.returncode == 3
         assert res.stderr == "optcoding: error: --imax must be in 1..10000000, got 1000000000000\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+    def test_row_by_row_table_in_bounded_memory(self, tmp_path):
+        # At N = 1 every rank is its own block, so the table is written row
+        # by row; one list of every row's string peaked near 330 MB here.
+        # The child reports its own VmHWM: its ru_maxrss would also count
+        # the test runner's peak, which the kernel carries over at exec.
+        target = tmp_path / "lengths.tsv"
+        script = (
+            "import re, sys\n"
+            "from optcoding import cli\n"
+            "assert cli.main(['lengths', '--N', '1', '--imax', str(2 * 10**6),\n"
+            "                 '--output', sys.argv[1]]) == 0\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(int(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1)) // 1024)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script, str(target)], capture_output=True,
+                             text=True, check=True, timeout=120)
+        with target.open() as fh:
+            assert fh.readline() == "i\tl_i\n"
+            assert sum(1 for _ in fh) == 2 * 10**6
+        assert int(out.stdout) < 260
 
     @pytest.mark.parametrize("argv", [
         ["lengths", "--N", "2", "--imax"],

@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -32,7 +32,7 @@ _SEP = {"tsv": "\t", "csv": ","}
 # is a domain error, not an out-of-memory kill.  At 10**7 rows written to a file
 # (Python 3.11, numpy 2.4, x86-64 Linux), `figure --N 3` peaks at 0.61 GB of
 # resident memory and `lengths --N 2` at 0.24 GB; at N = 1, where each row is
-# its own block, `lengths` peaks at 0.87 GB and `figure --ps 0.18` at 0.80 GB.
+# its own block, `lengths` peaks at 0.49 GB and `figure --ps 0.18` at 0.57 GB.
 MAX_SIZE = 10**7
 
 
@@ -109,8 +109,10 @@ def _rank_table_text(header: tuple[str, ...], ends: np.ndarray, values: np.ndarr
     and `_rank_records` writes the runs.  repr is str for ints and floats,
     and a cheaper call."""
     sep, n = _SEP[fmt], int(ends[-1])
-    if len(ends) == n:
-        return _table_text(header, (map(repr, range(1, n + 1)), map(repr, values.tolist())), fmt)
+    if len(ends) == n:  # values made Python objects 2**16 at a time, as rows are joined
+        chunks = (values[k : k + 2**16].tolist() for k in range(0, n, 2**16))
+        cells = map(repr, chain.from_iterable(chunks))
+        return _table_text(header, (map(repr, range(1, n + 1)), cells), fmt)
     tails = [f"{sep}{v!r}\n".encode() for v in values.tolist()]
     return str(_rank_records(f"{sep.join(header)}\n".encode(), tails, ends.tolist()).data, "ascii")
 
@@ -290,34 +292,71 @@ def _int_or_none(cell: str) -> int | None:
         return None
 
 
-def _read_rank_counts(path) -> dict[int, int]:
-    text = corpus.read_text(path)
-    rows = [
-        (lineno, line.replace(",", "\t").split())
-        for lineno, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    if rows and rows[0][1]:
+def _is_header(line: str) -> bool:
+    """Whether a first row is a header: its first cell is not a number to float()."""
+    parts = line.replace(",", "\t").split()
+    if parts:
         try:
-            float(rows[0][1][0])
+            float(parts[0])
         except ValueError:
-            rows = rows[1:]  # header: a first row whose first cell is not a number
-    out: dict[int, int] = {}
-    for lineno, parts in rows:
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected `rank<TAB>count`")
-        try:
-            rank, count = int(parts[0]), int(parts[1])
-        except ValueError:
-            named = zip(("rank", "count"), parts)
-            what, cell = next((w, c) for w, c in named if _int_or_none(c) is None)
-            raise ValueError(f"{path}:{lineno}: {what} {cell!r} is not an integer") from None
-        if rank in out:
-            raise ValueError(f"{path}:{lineno}: duplicate rank {rank}")
-        out[rank] = count
-    if not out:
-        raise ValueError(f"{path}: no rank counts found")
-    return out
+            return True
+    return False
+
+
+def _rank_columns(text: str) -> maxent.RankCounts | None:
+    """The rank counts of a text of `rank<TAB>count\\n` rows (a comma for the
+    tab, and a header row, allowed), or None where a row is spelled otherwise,
+    a cell is not an integer in int64, or a rank repeats."""
+    text = text.replace(",", "\t")
+    head, _, body = text.partition("\n")
+    cells = corpus._row_cells(body if _is_header(head) else text)
+    if cells is None:
+        return None
+    try:
+        ranks = np.fromiter(map(int, cells[0::2]), np.int64, len(cells) // 2)
+        counts = np.fromiter(map(int, cells[1::2]), np.int64, len(cells) // 2)
+    except (ValueError, OverflowError):  # a value past int64 is worded by RankCounts
+        return None
+    if np.any(ranks[:-1] >= ranks[1:]):
+        order = np.argsort(ranks)
+        ranks, counts = ranks[order], counts[order]
+        if np.any(ranks[:-1] == ranks[1:]):  # the walk names the line
+            return None
+    return maxent.RankCounts(ranks, counts)
+
+
+def _rank_row(line: str, seen) -> tuple[int, int]:
+    """The rank and count of one line of a `fit` table, or corpus._BadRow
+    saying why not."""
+    parts = line.replace(",", "\t").split()
+    if len(parts) != 2:
+        raise corpus._BadRow("expected `rank<TAB>count`")
+    try:
+        rank, count = int(parts[0]), int(parts[1])
+    except ValueError:
+        named = zip(("rank", "count"), parts)
+        what, cell = next((w, c) for w, c in named if _int_or_none(c) is None)
+        raise corpus._BadRow(f"{what} {cell!r} is not an integer") from None
+    if rank in seen:
+        raise corpus._BadRow(f"duplicate rank {rank}")
+    return rank, count
+
+
+def _read_rank_counts(path) -> maxent.RankCounts:
+    """The `fit --input` table: `rank count` rows of integers, separated by
+    a tab, a comma or spaces, after an optional header row; blank lines and
+    lines whose stripped text starts with '#' are skipped."""
+    observed, rows = corpus._read_rows(
+        path, _rank_columns, lambda line: line.lstrip().startswith("#")
+    )
+    if observed is None:
+        if rows and _is_header(rows[0][1]):
+            rows = rows[1:]
+        counts = corpus._walk_rows(path, rows, _rank_row)
+        if not counts:
+            raise ValueError(f"{path}: no rank counts found")
+        observed = maxent._as_rank_counts(counts)  # a value past int64 raises here
+    return observed
 
 
 def _cmd_fit(args) -> dict:

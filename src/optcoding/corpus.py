@@ -307,7 +307,7 @@ def read_text(path) -> str:
 
 # The line boundaries of str.splitlines besides "\n".
 _OTHER_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
-# Every byte but tab and newline: what `_parse_rows` deletes to see the row shape.
+# Every byte but tab and newline: what `_row_cells` deletes to see the row shape.
 _NOT_TAB_OR_NEWLINE = bytes(b for b in range(256) if b not in b"\t\n")
 
 
@@ -318,57 +318,93 @@ def read_magnitudes(path) -> dict[str, float]:
     exactly one tab, a duplicate type, or a magnitude that is not a
     positive finite number raises ValueError naming its file and line.
     """
-    text = read_text(path)
-    comments = "#" in text and (text.startswith("#") or "\n#" in text)
-    plain = not (comments or any(map(text.__contains__, _OTHER_BREAKS)))
-    out = _parse_rows(text) if plain else None
-    if out is None:  # comments, blank lines, other line ends, or a fault
-        lines = text.splitlines()
-        rows = filterfalse(methodcaller("startswith", "#"), filter(str.strip, lines))
-        out = _parse_rows("\n".join(rows) + "\n")
-        if out is None:
-            raise _sidecar_error(path, lines)
+    out, rows = _read_rows(path, _parse_magnitudes, methodcaller("startswith", "#"))
+    if out is None:
+        out = _walk_rows(path, rows, _magnitude_row)
+        if not out:
+            raise ValueError(f"{path}: no magnitude entries")
     return out
 
 
-def _parse_rows(text: str) -> dict[str, float] | None:
+def _read_rows(path, parse, comment) -> tuple:
+    """Parse a two-column file in whole-file passes.  Returns (value, None):
+    `parse` of the whole text, where that has no '#' and no line break but
+    "\\n", or else of its data lines (neither blank nor `comment`) joined
+    with "\\n".  Where `parse` gives None to both, returns (None, the
+    numbered data lines) for `_walk_rows`."""
+    text = read_text(path)
+    plain = "#" not in text and not any(map(text.__contains__, _OTHER_BREAKS))
+    out = parse(text) if plain else None
+    if out is None:  # comments, blank lines, other line ends, or a fault
+        lines = text.splitlines()
+        rows = filterfalse(comment, filter(str.strip, lines))
+        out = parse("\n".join(rows) + "\n")
+    if out is None:
+        numbered = enumerate(lines, start=1)
+        return None, [(n, line) for n, line in numbered if line.strip() and not comment(line)]
+    return out, None
+
+
+class _BadRow(ValueError):
+    """A data line's fault: `_walk_rows` names its file and line."""
+
+
+def _walk_rows(path, rows, row) -> dict:
+    """The key -> value map of the numbered data lines `rows`, each read by
+    row(line, map so far); the first line it refuses with _BadRow raises
+    ValueError prefixed with its file and line number."""
+    out = {}
+    for lineno, line in rows:
+        try:
+            key, value = row(line, out)
+        except _BadRow as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        out[key] = value
+    return out
+
+
+def _row_cells(text: str) -> list[str] | None:
+    """The cells of a text that is nothing but `cell<TAB>cell\\n` rows, two
+    per row in row order, or None if it is anything else or has no rows."""
+    marks = text.encode().translate(None, _NOT_TAB_OR_NEWLINE)
+    rows = len(marks) // 2
+    if not rows or marks != b"\t\n" * rows or not text.endswith("\n"):  # "a\t1\nb" too
+        return None
+    cells = text.replace("\n", "\t").split("\t")
+    cells.pop()  # the empty tail after the last row
+    return cells
+
+
+def _parse_magnitudes(text: str) -> dict[str, float] | None:
     """The magnitudes of a text that is nothing but `type<TAB>magnitude\\n`
     rows, or None if it is anything else, has no rows, repeats a type, or
     has a magnitude that is not a positive finite number."""
-    marks = text.encode().translate(None, _NOT_TAB_OR_NEWLINE)
-    rows = len(marks) // 2
-    if not rows or marks != b"\t\n" * rows:
+    cells = _row_cells(text)
+    if cells is None:
         return None
-    cells = text.replace("\n", "\t").split("\t")  # the last cell is the empty tail
     try:
         values = list(map(float, cells[1::2]))
     except ValueError:
         return None
     out = dict(zip(cells[0::2], values))  # a duplicate type leaves it short
-    checked = np.fromiter(values, float, rows)
-    if len(out) == rows and np.all((checked > 0) & np.isfinite(checked)):
+    checked = np.fromiter(values, float, len(values))
+    if len(out) == len(values) and np.all((checked > 0) & np.isfinite(checked)):
         return out
     return None
 
 
-def _sidecar_error(path, lines: list[str]) -> ValueError:
-    """The error of the first bad line of a sidecar that `read_magnitudes`
-    rejected, or of a sidecar without entries."""
-    seen = set()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            return ValueError(f"{path}:{lineno}: expected `type<TAB>magnitude`")
-        t, m = parts
-        if t in seen:
-            return ValueError(f"{path}:{lineno}: duplicate type {t!r}")
-        seen.add(t)
-        try:
-            value = float(m)
-        except ValueError:
-            return ValueError(f"{path}:{lineno}: magnitude {m!r} is not a number")
-        if not value > 0 or not math.isfinite(value):
-            return ValueError(f"{path}:{lineno}: magnitude must be positive and finite")
-    return ValueError(f"{path}: no magnitude entries")
+def _magnitude_row(line: str, seen) -> tuple[str, float]:
+    """The type and magnitude of one sidecar line, or _BadRow saying why not."""
+    parts = line.split("\t")
+    if len(parts) != 2:
+        raise _BadRow("expected `type<TAB>magnitude`")
+    t, m = parts
+    if t in seen:
+        raise _BadRow(f"duplicate type {t!r}")
+    try:
+        value = float(m)
+    except ValueError:
+        raise _BadRow(f"magnitude {m!r} is not a number") from None
+    if not value > 0 or not math.isfinite(value):
+        raise _BadRow("magnitude must be positive and finite")
+    return t, value

@@ -506,35 +506,38 @@ def _settle_rank(alpha: float, b: float, t: float, guess: int) -> int:
     is 0.0 + _em_tail, and above alpha ~ 70 every term of both is 0.0.
     Gallops from the guess to a bracket, then bisects it.  Past 2^53
     neighbouring ranks share the float r + b, so steps start at its spacing
-    and each distinct float is evaluated once.  Needs the predicate to hold
-    at _RANK_LIMIT.
+    and each distinct float is evaluated once: a rank whose float is the
+    bracket's x_lo (fails) or x_hi (holds) is decided without a probe.
+    Needs the predicate to hold at _RANK_LIMIT.
     """
-    seen: dict = {}
-
-    def holds(r: int) -> bool:
-        x = float(r + b)
-        if x not in seen:
-            seen[x] = _em_tail(alpha, x) <= t
-        return seen[x]
-
     r = min(max(guess, _SAMPLE_HEAD), _RANK_LIMIT)
     step = max(1, int(math.ulp(r)))
-    if holds(r):
-        hi, lo = r, r - step
-        while lo >= _SAMPLE_HEAD and holds(lo):
-            hi, step = lo, 2 * step
+    x = float(r + b)
+    if _em_tail(alpha, x) <= t:
+        hi, x_hi, lo, x_lo = r, x, r - step, -math.inf  # -inf: no float yet known to fail
+        while lo >= _SAMPLE_HEAD:
+            x = float(lo + b)
+            if x != x_hi and _em_tail(alpha, x) > t:  # the float x_hi holds
+                x_lo = x
+                break
+            hi, x_hi, step = lo, x, 2 * step
             lo = hi - step
         lo = max(lo, _SAMPLE_HEAD - 1)  # no rank below the head qualifies
     else:
-        lo = r
-        while not holds(hi := min(lo + step, _RANK_LIMIT)):
-            lo, step = hi, 2 * step
+        lo, x_lo = r, x
+        while True:
+            hi = min(lo + step, _RANK_LIMIT)
+            x_hi = float(hi + b)
+            if x_hi != x_lo and _em_tail(alpha, x_hi) <= t:  # the float x_lo fails
+                break
+            lo, x_lo, step = hi, x_hi, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
+        x = float(mid + b)
+        if x == x_hi or x != x_lo and _em_tail(alpha, x) <= t:
+            hi, x_hi = mid, x
         else:
-            lo = mid
+            lo, x_lo = mid, x
     return hi
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from optcoding import cli, codebook, maxent
+from optcoding import cli, codebook, corpus, maxent
 from optcoding.codebook import block_counts, code_length_for_rank, string_count_through_length
 from optcoding.randtype import RandomTypingParams, figure2_data
 
@@ -519,6 +519,116 @@ class TestFit:
         assert res.stderr == "optcoding: error: the total count must fit in int64\n"
 
 
+# The line-by-line reader that the whole-file `_read_rank_counts` replaced,
+# as it was: a rank -> count dict, made `RankCounts` by `fit_ranked`.
+def oracle_read_rank_counts(path) -> dict[int, int]:
+    text = corpus.read_text(path)
+    rows = [
+        (lineno, line.replace(",", "\t").split())
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line.strip() and not line.strip().startswith("#")
+    ]
+    if rows and rows[0][1]:
+        try:
+            float(rows[0][1][0])
+        except ValueError:
+            rows = rows[1:]  # header: a first row whose first cell is not a number
+    out: dict[int, int] = {}
+    for lineno, parts in rows:
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected `rank<TAB>count`")
+        try:
+            rank, count = int(parts[0]), int(parts[1])
+        except ValueError:
+            named = zip(("rank", "count"), parts)
+            what, cell = next((w, c) for w, c in named if cli._int_or_none(c) is None)
+            raise ValueError(f"{path}:{lineno}: {what} {cell!r} is not an integer") from None
+        if rank in out:
+            raise ValueError(f"{path}:{lineno}: duplicate rank {rank}")
+        out[rank] = count
+    if not out:
+        raise ValueError(f"{path}: no rank counts found")
+    return out
+
+
+def read_outcome(read, path):
+    """The rank and count lists `read(path)` gives as `RankCounts`, or the
+    type and text of the error it raises."""
+    try:
+        observed = maxent._as_rank_counts(read(path))
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return observed.ranks.tolist(), observed.counts.tolist()
+
+
+# `fit` tables in every spelling the reader accepts, and some it refuses:
+# integers as int() reads them (signs, underscores, Unicode digits, values
+# past int64) or not at all, cells split by tabs, commas or spaces, headers,
+# comments (indented too), blank lines and every line break splitlines() knows.
+FIT_INT = st.one_of(
+    st.integers(-2, 60).map(str),
+    st.sampled_from(["+5", "1_000", "\u0661\u0662", "\uff17", "007", str(2**63), str(2**64 + 3),
+                     "9" * 19, "-0", "1.0", "1e0", "x", "0x1", "", "--1"]),
+)
+FIT_SEP = st.sampled_from(["\t", "\t", ",", " ", "  ", ", ", "\t\t", " \t", ",,"])
+FIT_ROW = st.builds(lambda r, sep, c, pad: pad + r + sep + c, FIT_INT, FIT_SEP, FIT_INT,
+                    st.sampled_from(["", "", " "]))
+FIT_PLAIN_ROW = st.builds("{}\t{}".format, st.integers(1, 40), st.integers(1, 99))
+FIT_NOISE = st.sampled_from([
+    "", "  ", "\t", "# note", "  # indented note", "#1\t5", "1", "1\t2\t3", ",", "rank\tcount",
+])
+FIT_HEADER = st.sampled_from(["", "", "rank\tcount", "rank,count", "i count", "rank", "1.5\tx"])
+FIT_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def fit_table(bom, header, rows, ends, ended):
+    lines = [header, *rows] if header else rows
+    return bom + "".join(map(str.__add__, lines, ends[: len(lines) - 1] + [ends[-1] * ended]))
+
+
+FIT_TABLE = st.builds(
+    fit_table,
+    st.sampled_from(["", "\ufeff"]),
+    FIT_HEADER,
+    st.one_of(
+        st.lists(FIT_PLAIN_ROW, min_size=1, max_size=8, unique_by=lambda row: row.split("\t")[0]),
+        st.lists(st.one_of(FIT_PLAIN_ROW, FIT_ROW, FIT_NOISE), max_size=8),
+    ),
+    st.one_of(
+        st.just(["\n"] * 9),
+        st.lists(st.sampled_from(FIT_ENDS), min_size=9, max_size=9),
+    ),
+    st.booleans(),
+)
+
+
+class TestRankCountsReader:
+    @settings(max_examples=400, deadline=None)
+    @given(table=FIT_TABLE)
+    def test_same_rank_counts_or_error_as_the_line_walk(self, tmp_path_factory, table):
+        path = tmp_path_factory.getbasetemp() / "counts.tsv"
+        path.write_bytes(table.encode())
+        want = read_outcome(oracle_read_rank_counts, path)
+        assert read_outcome(cli._read_rank_counts, path) == want
+
+    @pytest.mark.parametrize("text", [
+        "1\t70\n2\t20\n3\t10\n",
+        "rank,count\n1,70\n2,20\n3,10\n",
+        "# counts\r\n1\t70\r\n\r\n2\t20\r\n3\t10",
+        "  # indented comment\n3\t10\n1\t70\n2\t20\n",
+    ])
+    def test_every_spelling_reads_the_same_table(self, tmp_path, monkeypatch, text):
+        def walk(*args):
+            raise AssertionError("a good table was read line by line")
+
+        monkeypatch.setattr(corpus, "_walk_rows", walk)  # the walk only names a bad line
+        path = tmp_path / "counts.tsv"
+        path.write_bytes(text.encode())
+        observed = cli._read_rank_counts(path)
+        assert isinstance(observed, maxent.RankCounts)
+        assert (observed.ranks.tolist(), observed.counts.tolist()) == ([1, 2, 3], [70, 20, 10])
+
+
 class TestAnalyze:
     def test_end_to_end(self, tmp_path):
         text = tmp_path / "corpus.txt"
@@ -691,6 +801,27 @@ class TestSizeCap:
             assert fh.readline() == "i\tl_i\n"
             assert sum(1 for _ in fh) == 2 * 10**6
         assert int(out.stdout) < 260
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+    def test_row_by_row_values_made_objects_a_chunk_at_a_time(self, tmp_path):
+        # One list of every float value (values.tolist()) peaked at 193 MB
+        # here (x86-64 Linux, Python 3.11); converting 2**16 values at a time,
+        # 139 MB.
+        target = tmp_path / "figure.csv"
+        script = (
+            "import re, sys\n"
+            "from optcoding import cli\n"
+            "assert cli.main(['figure', '--N', '1', '--ps', '0.18', '--imax', str(2 * 10**6),\n"
+            "                 '--output', sys.argv[1]]) == 0\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(int(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1)) // 1024)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script, str(target)], capture_output=True,
+                             text=True, check=True, timeout=120)
+        with target.open() as fh:
+            assert fh.readline() == "i,p_i\n"
+            assert sum(1 for _ in fh) == 2 * 10**6
+        assert int(out.stdout) < 165
 
     @pytest.mark.parametrize("argv", [
         ["lengths", "--N", "2", "--imax"],

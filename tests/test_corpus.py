@@ -318,6 +318,7 @@ class TestReadHelpers:
         ("a\t1\nb\t2", {"a": 1.0, "b": 2.0}),
         ("a\t1\n#b\t2\n", {"a": 1.0}),
         (" \t 5\n", {" ": 5.0}),
+        (" #a\t1\n", {" #a": 1.0}),  # only a first character '#' makes a comment here
     ])
     def test_read_magnitudes_reads(self, tmp_path, text, want):
         p = tmp_path / "ok.tsv"
@@ -334,6 +335,7 @@ class TestReadHelpers:
         ("a\t1\t2\n5\t3\n", ":1: expected `type<TAB>magnitude`"),
         ("a\t1\t\n2\n", ":1: expected `type<TAB>magnitude`"),
         ("a\t1\nb\n", ":2: expected `type<TAB>magnitude`"),
+        ("a\t1\nb", ":2: expected `type<TAB>magnitude`"),  # was read as {"a": 1.0}
         ("# x\n\na\t1\r\na\t2\n", ":4: duplicate type 'a'"),
         ("a\t1\nb\t\n", ":2: magnitude '' is not a number"),
         ("a\tnan\nb\tx\n", ":1: magnitude must be positive and finite"),

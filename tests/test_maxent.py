@@ -756,6 +756,92 @@ class TestTailInversion:
             sample(family, 4, 5000)
 
 
+
+# The settle that probed through a memo of the floats it had seen, as it
+# was: it calls maxent._em_tail, so a patched one sees its probes.
+def oracle_settle_rank(alpha, b, t, guess):
+    seen = {}
+
+    def holds(r):
+        x = float(r + b)
+        if x not in seen:
+            seen[x] = maxent._em_tail(alpha, x) <= t
+        return seen[x]
+
+    r = min(max(guess, maxent._SAMPLE_HEAD), maxent._RANK_LIMIT)
+    step = max(1, int(math.ulp(r)))
+    if holds(r):
+        hi, lo = r, r - step
+        while lo >= maxent._SAMPLE_HEAD and holds(lo):
+            hi, step = lo, 2 * step
+            lo = hi - step
+        lo = max(lo, maxent._SAMPLE_HEAD - 1)
+    else:
+        lo = r
+        while not holds(hi := min(lo + step, maxent._RANK_LIMIT)):
+            lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class TestSettleAgainstTheMemoSettle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        alpha=st.floats(1.0001, 1.3),
+        b=st.floats(1e-6, 1e6),
+        exponent=st.integers(53, 1000),
+        fraction=st.floats(1.0, 2.0, exclude_max=True),
+        nudge=st.sampled_from([1.0, 1.0 + 2**-52, 1.0 - 2**-53]),
+    )
+    def test_far_tail_ranks_are_unchanged(self, alpha, b, exponent, fraction, nudge):
+        # a target at a rank from 2^53 to 2^1000, where neighbouring ranks share a float
+        t = maxent._em_tail(alpha, float(int(fraction * 2.0**53) << (exponent - 53)) + b) * nudge
+        want = oracle_settle_rank(alpha, b, t, maxent._SAMPLE_HEAD)
+        for guess in (want - 1, want, want + 1, 3 * want, want // 3,
+                      maxent._SAMPLE_HEAD, maxent._RANK_LIMIT):
+            assert maxent._settle_rank(alpha, b, t, guess) == want
+            assert oracle_settle_rank(alpha, b, t, guess) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        alpha=st.floats(1.0001, 3.0),
+        log_b=st.floats(10.0, 30.0),
+        log_rank=st.floats(0.0, 25.0),
+        nudge=st.sampled_from([1.0, 1.0 + 2**-52, 1.0 - 2**-53]),
+    )
+    def test_ranks_near_the_head_at_an_offset_past_2_53(self, alpha, log_b, log_rank, nudge):
+        # r + b shares its float with ranks below the head, which no draw may take
+        b = 10.0**log_b
+        t = maxent._em_tail(alpha, float(maxent._SAMPLE_HEAD + int(10.0**log_rank) + b)) * nudge
+        want = oracle_settle_rank(alpha, b, t, maxent._SAMPLE_HEAD)
+        for guess in (want - 1, want + 1, 3 * want, maxent._SAMPLE_HEAD, maxent._RANK_LIMIT):
+            assert maxent._settle_rank(alpha, b, t, guess) == oracle_settle_rank(alpha, b, t, guess)
+
+    def test_the_same_tail_probes_in_the_same_order(self, monkeypatch):
+        tail = maxent._em_tail
+        runs = {}
+        for name, settle in (("memo", oracle_settle_rank), ("now", maxent._settle_rank)):
+            probes = runs[name] = []
+
+            def recorded(alpha, x):
+                if np.ndim(x) == 0:
+                    probes.append(x)
+                return tail(alpha, x)
+
+            monkeypatch.setattr(maxent, "_em_tail", recorded)
+            monkeypatch.setattr(maxent, "_settle_rank", settle)
+            runs[name + " ranks"] = sample(ZetaParams(1.05), 12, 3000).tolist()
+        assert runs["now ranks"] == runs["memo ranks"]
+        assert max(runs["now ranks"]) > 2**63
+        assert len(runs["now"]) > 3000
+        assert runs["now"] == runs["memo"]
+
+
 class TestLazyOptimizeImport:
     @staticmethod
     def fit_in_a_new_process(family: str, key: str, loads_optimize: bool) -> float:

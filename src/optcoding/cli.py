@@ -327,9 +327,10 @@ def _rank_columns(text: str) -> maxent.RankCounts | None:
 
 def _rank_row(line: str, seen) -> tuple[int, int]:
     """The rank and count of one line of a `fit` table, or corpus._BadRow
-    saying why not."""
+    saying why not.  A comma-separated row with an empty or blank cell
+    (`1,,70`) has more than two cells, though `split()` would drop it."""
     parts = line.replace(",", "\t").split()
-    if len(parts) != 2:
+    if len(parts) != 2 or not all(map(str.strip, line.split(","))):
         raise corpus._BadRow("expected `rank<TAB>count`")
     try:
         rank, count = int(parts[0]), int(parts[1])

@@ -104,8 +104,9 @@ def tokenize(text: str, *, lowercase: bool = False, strip_punctuation: bool = Tr
     itself and no other character to one (or to nothing), so the split
     points, the stripped ends and the empty tokens stay where they were.
     Stripping with P* characters absent from the text changes nothing, so
-    an ASCII text strips with `_ASCII_PUNCT` without looking at its
-    characters.
+    the strip uses only the P* characters the text holds (for ASCII text,
+    those of `_ASCII_PUNCT` it contains), and a text with none is not
+    stripped at all: no token is then empty either.
     """
     if lowercase:
         text = text.casefold()
@@ -113,9 +114,11 @@ def tokenize(text: str, *, lowercase: bool = False, strip_punctuation: bool = Tr
     if not strip_punctuation:
         return tokens
     if text.isascii():
-        punct = _ASCII_PUNCT
+        punct = "".join(filter(text.__contains__, _ASCII_PUNCT))
     else:
         punct = "".join(c for c in set(text) if unicodedata.category(c).startswith("P"))
+    if not punct:
+        return tokens
     return list(filter(None, map(str.strip, tokens, repeat(punct))))
 
 

@@ -344,17 +344,42 @@ class ZipfMandelbrotParams:
     @classmethod
     def _fit(cls, rf: np.ndarray, cf: np.ndarray, n: int) -> tuple[dict, float]:
         """MLE (params, log-likelihood) at ranks rf with counts cf summing to n:
-        L-BFGS-B on (alpha, b), started from the zeta fit's alpha at b = 1."""
+        L-BFGS-B on (alpha, b), started from the zeta fit's alpha at b = 1.
+
+        The objective's sum S(b) = sum c log(r - 1 + b) is kept for the last
+        b, bit for bit, so the finite-difference probe (alpha + h, b) that
+        follows (alpha, b) costs one `_log_hurwitz_zeta` call and no pass
+        over the ranks."""
         from scipy import optimize  # imported here: it is most of `import optcoding`
 
-        # rank r sits at support index r - 1: weight (r - 1 + b)^(-alpha)
+        log_offset_sum = _log_offset_sums(rf, cf)
+
         def nll(theta) -> float:
             a, b = theta
-            return a * float(np.log(rf - 1.0 + b) @ cf) + n * _log_hurwitz_zeta(a, b)
+            return a * log_offset_sum(b) + n * _log_hurwitz_zeta(a, b)
 
         res = optimize.minimize(nll, x0=[ZetaParams._fit(rf, cf, n)[0]["alpha"], 1.0],
                                 method="L-BFGS-B", bounds=[(1.0 + 1e-6, 64.0), (1e-6, 1e6)])
         return {"alpha": float(res.x[0]), "b": float(res.x[1])}, -float(res.fun)
+
+
+def _log_offset_sums(rf: np.ndarray, cf: np.ndarray) -> Callable[[float], float]:
+    """b -> float(np.log(rf - 1.0 + b) @ cf), bit for bit, remembering the
+    last b and its sum.  Rank r sits at support index r - 1, so this is the
+    Zipf-Mandelbrot sum of c log(r - 1 + b).  One buffer takes every b's
+    offsets and their logarithms in place."""
+    offsets = rf - 1.0
+    buf = np.empty_like(offsets)
+    last_b, last_sum = None, 0.0
+
+    def log_offset_sum(b: float) -> float:
+        nonlocal last_b, last_sum
+        if b != last_b:
+            np.add(offsets, b, out=buf)
+            last_b, last_sum = b, float(np.log(buf, out=buf) @ cf)
+        return last_sum
+
+    return log_offset_sum
 
 
 @dataclass(frozen=True)

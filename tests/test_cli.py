@@ -474,6 +474,9 @@ class TestFit:
 
     @pytest.mark.parametrize("rows, message", [
         ("1\t10\t3\n2\t5\n", "{path}:1: expected `rank<TAB>count`"),
+        # an empty or blank CSV cell is a cell: these rows have three
+        ("1,,70\n2,20\n", "{path}:1: expected `rank<TAB>count`"),
+        ("rank,count\n1,70\n2, ,20\n", "{path}:3: expected `rank<TAB>count`"),
         ("1\t10\n1\t5\n", "{path}:2: duplicate rank 1"),
         ("# only\n\n# comments\n", "{path}: no rank counts found"),
     ])
@@ -520,22 +523,24 @@ class TestFit:
 
 
 # The line-by-line reader that the whole-file `_read_rank_counts` replaced,
-# as it was: a rank -> count dict, made `RankCounts` by `fit_ranked`.
+# as it was, but refusing a row with an empty or blank comma-separated cell:
+# a rank -> count dict, made `RankCounts` by `fit_ranked`.
 def oracle_read_rank_counts(path) -> dict[int, int]:
     text = corpus.read_text(path)
     rows = [
-        (lineno, line.replace(",", "\t").split())
+        (lineno, line, line.replace(",", "\t").split())
         for lineno, line in enumerate(text.splitlines(), start=1)
         if line.strip() and not line.strip().startswith("#")
     ]
-    if rows and rows[0][1]:
+    if rows and rows[0][2]:
         try:
-            float(rows[0][1][0])
+            float(rows[0][2][0])
         except ValueError:
             rows = rows[1:]  # header: a first row whose first cell is not a number
     out: dict[int, int] = {}
-    for lineno, parts in rows:
-        if len(parts) != 2:
+    for lineno, line, parts in rows:
+        # an empty or blank cell between commas, or before or after one
+        if len(parts) != 2 or re.search(r"(^|,)\s*(,|$)", line):
             raise ValueError(f"{path}:{lineno}: expected `rank<TAB>count`")
         try:
             rank, count = int(parts[0]), int(parts[1])
@@ -626,6 +631,18 @@ class TestRankCountsReader:
         path.write_bytes(text.encode())
         observed = cli._read_rank_counts(path)
         assert isinstance(observed, maxent.RankCounts)
+        assert (observed.ranks.tolist(), observed.counts.tolist()) == ([1, 2, 3], [70, 20, 10])
+
+    @pytest.mark.parametrize("text", [
+        "1 70\n2 20\n3 10\n",
+        "rank,count\n1, 70\n2 ,20\n3 , 10\n",
+        "rank count\n1, 70\n2\t20\n3  10\n",
+    ])
+    def test_padded_cells_and_spaces_are_read(self, tmp_path, text):
+        # blank CSV cells are refused; spaces around a nonblank cell are not
+        path = tmp_path / "counts.tsv"
+        path.write_text(text)
+        observed = cli._read_rank_counts(path)
         assert (observed.ranks.tolist(), observed.counts.tolist()) == ([1, 2, 3], [70, 20, 10])
 
 

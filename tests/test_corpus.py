@@ -72,6 +72,23 @@ class TestTokenizer:
             folded = c.casefold()
             assert folded and not stop(c) and not any(map(stop, folded)), hex(ord(c))
 
+    @pytest.mark.parametrize("text, lowercase, want", [
+        # no P* character at all: the split tokens as they are
+        ("The cat\tsat  on\nthe Mat", False, ["The", "cat", "sat", "on", "the", "Mat"]),
+        ("The cat\tsat  on\nthe Mat", True, ["the", "cat", "sat", "on", "the", "mat"]),
+        # the only P* character is interior, so nothing is stripped
+        ("don't stop Don't", True, ["don't", "stop", "don't"]),
+        # one token carries the only P* character
+        ("a b c! d", False, ["a", "b", "c", "d"]),
+        ("a b ... d", False, ["a", "b", "d"]),
+        # non-ASCII text with no P* character
+        ("Straße été Σοφία ~+$", True,
+         ["strasse", "été", "σοφία", "~+$"]),
+    ])
+    def test_strips_only_with_the_punctuation_present(self, text, lowercase, want):
+        assert tokenize(text, lowercase=lowercase) == want
+        assert tokenize(text, lowercase=lowercase) == oracle_tokenize(text, lowercase=lowercase)
+
     def test_ascii_punctuation_constant(self):
         ascii_p = [c for c in map(chr, range(128)) if unicodedata.category(c).startswith("P")]
         assert sorted(corpus._ASCII_PUNCT) == ascii_p

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optcoding import cli, maxent
+from optcoding import cli, corpus, maxent, randtype
 from optcoding.maxent import (
     CodeLength,
     EntropyValue,
@@ -1000,6 +1000,68 @@ class TestFitting:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "fit/1"
         assert set(payload) == {"schema", "family", "params", "log_likelihood", "n", "support"}
+
+
+def fit_with_fresh_sums(observed) -> maxent.FitResult:
+    """The Zipf-Mandelbrot fit as it was before it kept S(b): the same search,
+    on an objective that computes sum c log(r - 1 + b) at every call."""
+    from scipy import optimize
+
+    counts = maxent._as_rank_counts(observed)
+    rf, cf = counts.ranks.astype(float), counts.counts.astype(float)
+    n = int(counts.counts.sum())
+
+    def nll(theta):
+        a, b = theta
+        return a * float(np.log(rf - 1.0 + b) @ cf) + n * maxent._log_hurwitz_zeta(a, b)
+
+    res = optimize.minimize(nll, x0=[fit_mle(counts, "zeta").params["alpha"], 1.0],
+                            method="L-BFGS-B", bounds=[(1.0 + 1e-6, 64.0), (1e-6, 1e6)])
+    params = {"alpha": float(res.x[0]), "b": float(res.x[1])}
+    support = (int(counts.ranks[0]), int(counts.ranks[-1]))
+    return maxent.FitResult("zipf-mandelbrot", params, -float(res.fun), n, support)
+
+
+def random_typing_counts(n_words: int, seed: int) -> RankCounts:
+    words = randtype.generate(randtype.RandomTypingParams(26, 0.18), seed, n_words)
+    table = corpus.table_from_tokens(words)
+    return RankCounts(np.arange(1, table.size + 1), table.frequencies)
+
+
+class TestZipfMandelbrotKeptSum:
+    """The fit keeps S(b) for the last b; every bit must match the fresh sum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.dictionaries(st.integers(1, 5000), st.integers(1, 3000), min_size=2, max_size=40))
+    def test_fit_equals_the_fresh_objective(self, observed):
+        assert fit_mle(observed, "zipf-mandelbrot") == fit_with_fresh_sums(observed)
+
+    def test_fit_on_a_random_typing_table(self, monkeypatch):
+        observed = random_typing_counts(25_000, 3)
+        assert observed.ranks.size > 10_000
+        calls = []
+        real = maxent.hurwitz_zeta
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(maxent, "hurwitz_zeta", counted)
+        got = fit_mle(observed, "zipf-mandelbrot")
+        kept_calls = calls.copy()
+        calls.clear()
+        assert got == fit_with_fresh_sums(observed)
+        assert kept_calls == calls  # one normalizer per objective call, as before
+
+    def test_kept_sum_equals_the_fresh_sum(self):
+        observed = random_typing_counts(20_000, 5)
+        rf, cf = observed.ranks.astype(float), observed.counts.astype(float)
+        bs = np.geomspace(1e-6, 1e6, 1000)
+        np.random.default_rng(0).shuffle(bs)
+        log_offset_sum = maxent._log_offset_sums(rf, cf)
+        for b in [*bs[:500], *np.repeat(bs[500:], 2)]:  # fresh, then kept, sums
+            fresh = float(np.log(rf - 1.0 + b) @ cf)
+            assert log_offset_sum(b).hex() == fresh.hex(), b
 
 
 class TestMaxentFamilyBridges:

@@ -27,12 +27,13 @@ EXIT_DOMAIN = 3
 EXIT_IO = 4
 
 _SEP = {"tsv": "\t", "csv": ","}
+_CHUNK = 2**16  # most rows, or words, in one text chunk of an output
 
 # Most rows of `lengths` and `figure` and most words of `simulate`, so that more
 # is a domain error, not an out-of-memory kill.  At 10**7 rows written to a file
-# (Python 3.11, numpy 2.4, x86-64 Linux), `figure --N 3` peaks at 0.61 GB of
-# resident memory and `lengths --N 2` at 0.24 GB; at N = 1, where each row is
-# its own block, `lengths` peaks at 0.49 GB and `figure --ps 0.18` at 0.57 GB.
+# (Python 3.11, numpy 2.4, x86-64 Linux), `figure --N 3 --ps 0.18` peaks at 39 MB
+# of resident memory and `lengths --N 2` at 34 MB; at N = 1, where each row is
+# its own block, `lengths` peaks at 0.26 GB and `figure --ps 0.18` at 0.57 GB.
 MAX_SIZE = 10**7
 
 
@@ -42,32 +43,33 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _write_output(text: str, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _write_output(text: str, fh) -> None:
+    fh.write(text)
 
 
 def _write_outputs(outputs: dict) -> None:
-    """Write each text to its path, or to stdout for None: every file to a
-    temporary file, then all moved into place, then stdout.  On an OSError
-    no file of the run is left behind."""
+    """Write each output's text chunks to its path, or to stdout for None:
+    every file to a temporary file, then all moved into place, then stdout.
+    On any error no file of the run is left behind."""
     # one spelling per file, the last: a shared path holds the main output
     files = {os.path.abspath(p): p for p in outputs if p is not None}.values()
     tmps = {path: f"{path}.tmp.{os.getpid()}" for path in files}
     moved = []
     try:
         for path, tmp in tmps.items():
-            _write_output(outputs[path], tmp)
+            with open(tmp, "w", encoding="utf-8") as fh:
+                for chunk in outputs[path]:
+                    _write_output(chunk, fh)
         for path, tmp in tmps.items():
             os.replace(tmp, path)
             moved.append(path)
-    except OSError:
+    except BaseException:  # the chunks are made as they are written
         for path in [*tmps.values(), *moved]:
             if os.path.exists(path):
                 os.unlink(path)
         raise
     if None in outputs:
-        sys.stdout.write(outputs[None])
+        sys.stdout.writelines(outputs[None])
 
 
 def _cells(values: np.ndarray):
@@ -78,73 +80,50 @@ def _cells(values: np.ndarray):
     return map(cells.__getitem__, where.tolist())
 
 
-def _table_text(header: tuple[str, ...], columns, fmt: str) -> str:
-    """The header line, then one line per row; `columns` hold the cells as
-    strings.  Rows are joined 2**16 at a time, so no list of every row's
-    string is built."""
+def _table_text(header: tuple[str, ...], columns, fmt: str):
+    """The header line, then one line per row, as text chunks of at most
+    _CHUNK rows; `columns` hold the cells as strings."""
     sep = _SEP[fmt]
     rows = map(sep.join, zip(*columns))  # never "": every table has two or more columns
-    chunks = iter(lambda: "\n".join(islice(rows, 2**16)), "")
-    return "\n".join([sep.join(header), *chunks, ""])
+    chunks = iter(lambda: "\n".join([*islice(rows, _CHUNK), ""]), "")
+    return chain([f"{sep.join(header)}\n"], chunks)
 
 
-def _rank_digits(n: int) -> dict[int, np.ndarray]:
-    """ASCII digits of the ranks 1..n: table d holds one row of d digits for
-    each rank from 10**(d - 1) to min(n, 10**d - 1)."""
-    tables = {}
-    for d in range(1, len(str(n)) + 1):
-        ranks = np.arange(10 ** (d - 1), min(n, 10**d - 1) + 1, dtype=np.min_scalar_type(n))
-        tables[d] = table = np.empty((len(ranks), d), np.uint8)
-        for k in reversed(range(d)):
-            np.divmod(ranks, 10, out=(ranks, table[:, k]))
-        table |= ord("0")
-    return tables
-
-
-def _rank_table_text(header: tuple[str, ...], ends: np.ndarray, values: np.ndarray, fmt: str) -> str:
+def _rank_table_text(header: tuple[str, ...], ends: np.ndarray, values: np.ndarray, fmt: str):
     """Rows `i, values[k]` for the ranks i of run k: those after ends[k - 1]
-    (from 1 for k = 0) through ends[k].  A run is a length block of a rank
-    law.  Where every run is one row (N = 1, or a one-row table), the rows
-    are formatted one by one; otherwise each run's tail is formatted once
-    and `_rank_records` writes the runs.  repr is str for ints and floats,
-    and a cheaper call."""
+    (from 1 for k = 0) through ends[k], as text chunks of at most _CHUNK rows.
+    A run is a length block of a rank law.  Where every run is one row (N = 1,
+    or a one-row table), the rows are formatted one by one.  Otherwise each
+    run's tail is formatted once, and a run cut where the rank gains a digit
+    is cut again into chunks of fixed-width rows: each a (rows, width) byte
+    array, its digits from divmod and its tail broadcast.  repr is str for
+    ints and floats, and a cheaper call."""
     sep, n = _SEP[fmt], int(ends[-1])
-    if len(ends) == n:  # values made Python objects 2**16 at a time, as rows are joined
-        chunks = (values[k : k + 2**16].tolist() for k in range(0, n, 2**16))
+    if len(ends) == n:  # values made Python objects a chunk at a time, as rows are joined
+        chunks = (values[k : k + _CHUNK].tolist() for k in range(0, n, _CHUNK))
         cells = map(repr, chain.from_iterable(chunks))
-        return _table_text(header, (map(repr, range(1, n + 1)), cells), fmt)
-    tails = [f"{sep}{v!r}\n".encode() for v in values.tolist()]
-    return str(_rank_records(f"{sep.join(header)}\n".encode(), tails, ends.tolist()).data, "ascii")
-
-
-def _rank_records(head: bytes, tails: list[bytes], ends: list[int]) -> np.ndarray:
-    """The ASCII bytes of `head`, then of rows 1..ends[-1]: each row is its
-    rank's digits and the tail of its run.  Run k holds the rows after
-    ends[k - 1] (from 0 for k = 0) through ends[k], each ended by tails[k].
-
-    A run cut where the rank gains a digit is a segment of fixed-width rows,
-    so it is written as a (rows, width) view of one uint8 buffer: its digits
-    copied from `_rank_digits`, its tail broadcast."""
-    table = _rank_digits(ends[-1])
-    starts = [0, *ends]
-    tail_total = sum(len(tail) * (end - start) for start, end, tail in zip(starts, ends, tails))
-    buf = np.empty(len(head) + sum(t.size for t in table.values()) + tail_total, np.uint8)
-    buf[: len(head)] = np.frombuffer(head, np.uint8)
-    at = len(head)
-    for start, end, tail in zip(starts, ends, tails):
-        while start < end:  # a segment: the rows of the run whose ranks have d digits
+        yield from _table_text(header, (map(repr, range(1, n + 1)), cells), fmt)
+        return
+    yield f"{sep.join(header)}\n"
+    start = 0
+    for end, value in zip(ends.tolist(), values.tolist()):
+        tail = np.frombuffer(f"{sep}{value!r}\n".encode(), np.uint8)
+        while start < end:  # a chunk: ranks start + 1 .. stop, all of d digits
             d = len(str(start + 1))
-            stop, skip = min(end, 10**d - 1), 10 ** (d - 1) - 1  # skip: rows before table d
-            records = buf[at : at + (stop - start) * (d + len(tail))].reshape(stop - start, -1)
-            records[:, :d] = table[d][start - skip : stop - skip]
-            records[:, d:] = np.frombuffer(tail, np.uint8)
-            at += records.size
+            stop = min(end, 10**d - 1, start + _CHUNK)
+            ranks = np.arange(start + 1, stop + 1, dtype=np.min_scalar_type(stop))
+            digits = np.empty((stop - start, d), np.uint8)
+            for k in reversed(range(d)):
+                np.divmod(ranks, 10, out=(ranks, digits[:, k]))
+            rows = np.empty((stop - start, d + tail.size), np.uint8)
+            np.bitwise_or(digits, ord("0"), out=rows[:, :d])
+            rows[:, d:] = tail
+            yield str(rows.data, "ascii")
             start = stop
-    return buf
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _json_text(payload: dict) -> list[str]:
+    return [json.dumps(payload, indent=2) + "\n"]
 
 
 def _fit_json(fit: maxent.FitResult) -> dict:
@@ -192,6 +171,11 @@ def _alphabet(text: str) -> codebook.Alphabet:
 def _cmd_codes(args) -> dict:
     _check_at_least("--lmin", args.lmin, 0)
     alphabet = _alphabet(args.alphabet)
+    sep = _SEP.get(args.format)  # None for json; in a table, such a symbol would split its row
+    if sep and any(s == sep or s.splitlines() != [s] for s in alphabet.symbols):
+        raise ValueError(
+            f"--alphabet must hold no {args.format} separator or line break, got {args.alphabet!r}"
+        )
     if args.ranks < 1:
         raise ValueError("--ranks must be >= 1")
     if args.lmin == 0 and not args.allow_empty:
@@ -253,6 +237,13 @@ def _letter_bias(text: str, n: int) -> np.ndarray:
     return bias
 
 
+def _words_text(words: list[str]):
+    """The words with one space between each two and a newline after the
+    last, as text chunks of at most _CHUNK words."""
+    for k in range(0, len(words), _CHUNK):
+        yield " ".join(words[k : k + _CHUNK]) + (" " if k + _CHUNK < len(words) else "\n")
+
+
 def _cmd_simulate(args) -> dict:
     _check_recoding_lmin(args.lmin)
     _check_size("--words", args.words)
@@ -278,7 +269,7 @@ def _cmd_simulate(args) -> dict:
         **_concordance_json(abbrev),
         **_recoding_json(recoding),
     }
-    side = {} if args.text_out is None else {args.text_out: " ".join(words) + "\n"}
+    side = {} if args.text_out is None else {args.text_out: _words_text(words)}
     return {**side, args.output: _json_text(payload)}
 
 
@@ -430,7 +421,7 @@ def _cmd_oracle(args) -> dict:
     if failures:
         sys.stdout.write("\n".join(lines) + "\n")
         raise ValueError(f"oracle failed on {failures} of {args.instances} instances")
-    return {args.output: "\n".join(lines) + "\n"}
+    return {args.output: ["\n".join(lines) + "\n"]}
 
 
 def build_parser() -> argparse.ArgumentParser:

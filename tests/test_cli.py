@@ -156,6 +156,14 @@ FLAG_ERRORS = [
      "--alphabet must be one or more distinct symbols, got ''"),
     (["analyze", "--input", "absent.txt", "--alphabet", "aa"],
      "--alphabet must be one or more distinct symbols, got 'aa'"),
+    # a code holding the separator or a line break would split its row
+    (["codes", "--alphabet", ",a", "--ranks", "4", "--format", "csv"],
+     "--alphabet must hold no csv separator or line break, got ',a'"),
+    (["codes", "--alphabet", "a\tb", "--ranks", "4"],
+     "--alphabet must hold no tsv separator or line break, got 'a\\tb'"),
+    *[(["codes", "--alphabet", f"a{brk}", "--ranks", "4", "--format", fmt],
+       f"--alphabet must hold no {fmt} separator or line break, got {f'a{brk}'!r}")
+      for brk in ["\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"] for fmt in ["tsv", "csv"]],
 ]
 
 
@@ -290,7 +298,7 @@ class TestRankTableBlocks:
         cells = ["0.0"] * run + ["-0.0"] * run + ["0.0"] * run
         ends, values = np.array([run, 2 * run, 3 * run]), np.array([0.0, -0.0, 0.0])
         rows = [f"{i},{c}" for i, c in enumerate(cells, start=1)]
-        text = cli._rank_table_text(("i", "v"), ends, values, "csv")
+        text = "".join(cli._rank_table_text(("i", "v"), ends, values, "csv"))
         assert text == "\n".join(["i,v", *rows]) + "\n"
         assert list(cli._cells(np.array(list(map(float, cells))))) == cells
 
@@ -318,11 +326,16 @@ class TestRankTableBlocks:
         sep = cli._SEP[fmt]
         per_row = (v for v, run in runs for _ in range(run))
         rows = [f"{i}{sep}{v!r}" for i, v in enumerate(per_row, start=1)]
-        text = cli._rank_table_text(("i", "v"), ends, values, fmt)
+        text = "".join(cli._rank_table_text(("i", "v"), ends, values, fmt))
         assert text.split("\n") == [f"i{sep}v", *rows, ""]
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("n", [1, 2, 2**16, 2**16 + 1, 2**17 + 3])
+    def test_words_joined_a_chunk_at_a_time(self, n):
+        words = [f"w{k}" for k in range(n)]
+        assert "".join(cli._words_text(words)) == " ".join(words) + "\n"
+
     def test_deterministic_json(self):
         args = ("simulate", "--N", "5", "--ps", "0.4", "--words", "500",
                 "--seed", "7")
@@ -840,6 +853,26 @@ class TestSizeCap:
             assert sum(1 for _ in fh) == 2 * 10**6
         assert int(out.stdout) < 165
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+    def test_records_table_streamed_in_bounded_memory(self, tmp_path):
+        # The whole table in one byte buffer, then in a str, peaked at 146 MB
+        # here (x86-64 Linux, Python 3.11); written 2**16 rows at a time, 38 MB.
+        target = tmp_path / "figure.csv"
+        script = (
+            "import re, sys\n"
+            "from optcoding import cli\n"
+            "assert cli.main(['figure', '--N', '3', '--ps', '0.18', '--imax', str(2 * 10**6),\n"
+            "                 '--output', sys.argv[1]]) == 0\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(int(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1)) // 1024)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script, str(target)], capture_output=True,
+                             text=True, check=True, timeout=120)
+        with target.open() as fh:
+            assert fh.readline() == "i,p_i\n"
+            assert sum(1 for _ in fh) == 2 * 10**6
+        assert int(out.stdout) < 80
+
     @pytest.mark.parametrize("argv", [
         ["lengths", "--N", "2", "--imax"],
         ["figure", "--N", "2", "--ps", "0.3", "--imax"],
@@ -930,6 +963,16 @@ class TestUsageErrors:
         assert cli.main(argv[:-1]) == 0
         assert capsys.readouterr().out == Path("same.txt").read_text()
         assert [p.name for p in tmp_path.iterdir()] == ["same.txt"]
+
+    def test_error_inside_the_chunks_leaves_no_file(self, tmp_path):
+        def failing():
+            yield "i\tv\n"
+            raise RuntimeError("midway")
+
+        outputs = {str(tmp_path / "side.txt"): ["whole\n"], str(tmp_path / "out.tsv"): failing()}
+        with pytest.raises(RuntimeError, match="midway"):
+            cli._write_outputs(outputs)
+        assert list(tmp_path.iterdir()) == []
 
     def test_output_file_written_atomically(self, tmp_path):
         target = tmp_path / "codes.tsv"
@@ -1035,6 +1078,7 @@ class TestFuzz:
             written = {p.name for p in d.iterdir()} - {"in.txt", "side.tsv"}
             if code:
                 assert not written, (argv, written)
+                assert out.getvalue() == "", argv
             else:
                 named = {Path(a).name for a in argv if Path(a).name in OUTPUTS}
                 assert written == named, (argv, written)

@@ -273,86 +273,8 @@ def _cmd_simulate(args) -> dict:
     return {**side, args.output: _json_text(payload)}
 
 
-def _int_or_none(cell: str) -> int | None:
-    """int(cell), or None if the cell is not an integer literal."""
-    try:
-        return int(cell)
-    except ValueError as exc:
-        if not str(exc).startswith("invalid literal"):
-            raise  # an integer past int()'s digit limit keeps int()'s message
-        return None
-
-
-def _is_header(line: str) -> bool:
-    """Whether a first row is a header: its first cell is not a number to float()."""
-    parts = line.replace(",", "\t").split()
-    if parts:
-        try:
-            float(parts[0])
-        except ValueError:
-            return True
-    return False
-
-
-def _rank_columns(text: str) -> maxent.RankCounts | None:
-    """The rank counts of a text of `rank<TAB>count\\n` rows (a comma for the
-    tab, and a header row, allowed), or None where a row is spelled otherwise,
-    a cell is not an integer in int64, or a rank repeats."""
-    text = text.replace(",", "\t")
-    head, _, body = text.partition("\n")
-    cells = corpus._row_cells(body if _is_header(head) else text)
-    if cells is None:
-        return None
-    try:
-        ranks = np.fromiter(map(int, cells[0::2]), np.int64, len(cells) // 2)
-        counts = np.fromiter(map(int, cells[1::2]), np.int64, len(cells) // 2)
-    except (ValueError, OverflowError):  # a value past int64 is worded by RankCounts
-        return None
-    if np.any(ranks[:-1] >= ranks[1:]):
-        order = np.argsort(ranks)
-        ranks, counts = ranks[order], counts[order]
-        if np.any(ranks[:-1] == ranks[1:]):  # the walk names the line
-            return None
-    return maxent.RankCounts(ranks, counts)
-
-
-def _rank_row(line: str, seen) -> tuple[int, int]:
-    """The rank and count of one line of a `fit` table, or corpus._BadRow
-    saying why not.  A comma-separated row with an empty or blank cell
-    (`1,,70`) has more than two cells, though `split()` would drop it."""
-    parts = line.replace(",", "\t").split()
-    if len(parts) != 2 or not all(map(str.strip, line.split(","))):
-        raise corpus._BadRow("expected `rank<TAB>count`")
-    try:
-        rank, count = int(parts[0]), int(parts[1])
-    except ValueError:
-        named = zip(("rank", "count"), parts)
-        what, cell = next((w, c) for w, c in named if _int_or_none(c) is None)
-        raise corpus._BadRow(f"{what} {cell!r} is not an integer") from None
-    if rank in seen:
-        raise corpus._BadRow(f"duplicate rank {rank}")
-    return rank, count
-
-
-def _read_rank_counts(path) -> maxent.RankCounts:
-    """The `fit --input` table: `rank count` rows of integers, separated by
-    a tab, a comma or spaces, after an optional header row; blank lines and
-    lines whose stripped text starts with '#' are skipped."""
-    observed, rows = corpus._read_rows(
-        path, _rank_columns, lambda line: line.lstrip().startswith("#")
-    )
-    if observed is None:
-        if rows and _is_header(rows[0][1]):
-            rows = rows[1:]
-        counts = corpus._walk_rows(path, rows, _rank_row)
-        if not counts:
-            raise ValueError(f"{path}: no rank counts found")
-        observed = maxent._as_rank_counts(counts)  # a value past int64 raises here
-    return observed
-
-
 def _cmd_fit(args) -> dict:
-    observed = _read_rank_counts(args.input)
+    observed = corpus.read_rank_counts(args.input)
     families = maxent.FAMILIES if args.family == "all" else (args.family,)
     results = maxent.fit_ranked(observed, families)
     if len(results) == 1:

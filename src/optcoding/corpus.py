@@ -37,6 +37,7 @@ __all__ = [
     "analyze",
     "read_text",
     "read_magnitudes",
+    "read_rank_counts",
 ]
 
 ABBREVIATION_NOTE = (
@@ -321,20 +322,31 @@ def read_magnitudes(path) -> dict[str, float]:
     exactly one tab, a duplicate type, or a magnitude that is not a
     positive finite number raises ValueError naming its file and line.
     """
-    out, rows = _read_rows(path, _parse_magnitudes, methodcaller("startswith", "#"))
-    if out is None:
-        out = _walk_rows(path, rows, _magnitude_row)
-        if not out:
-            raise ValueError(f"{path}: no magnitude entries")
-    return out
+    return _read_rows(path, _parse_magnitudes, _magnitude_row, methodcaller("startswith", "#"),
+                      "no magnitude entries")
 
 
-def _read_rows(path, parse, comment) -> tuple:
-    """Parse a two-column file in whole-file passes.  Returns (value, None):
-    `parse` of the whole text, where that has no '#' and no line break but
-    "\\n", or else of its data lines (neither blank nor `comment`) joined
-    with "\\n".  Where `parse` gives None to both, returns (None, the
-    numbered data lines) for `_walk_rows`."""
+def read_rank_counts(path) -> maxent.RankCounts:
+    """Table of observed rank counts, as `fit --input` takes it: `rank count`
+    rows of integers, separated by a tab, a comma or spaces, after an
+    optional header row (a first row whose first cell is not a number).
+
+    Blank lines and lines whose stripped text starts with '#' are skipped; a
+    row that is not two integer cells, a rank or count below 1, or a
+    duplicate rank raises ValueError naming its file and line.
+    """
+    counts = _read_rows(path, _rank_columns, _rank_row, lambda line: line.lstrip().startswith("#"),
+                        "no rank counts found", header=_is_header)
+    return maxent._as_rank_counts(counts)  # a walked dict; a value past int64 raises here
+
+
+def _read_rows(path, parse, row, comment, empty: str, header=None):
+    """The value of a two-column file, in up to three passes: `parse` of the
+    whole text, where that has no '#' and no line break but "\\n"; `parse` of
+    its data lines (neither blank nor `comment`) joined with "\\n"; else the
+    key -> value map of row(line, map so far) over the data lines but a first
+    one that is a `header`.  A line that `row` refuses with _BadRow, or an
+    empty map, raises ValueError naming the file (and the line)."""
     text = read_text(path)
     plain = "#" not in text and not any(map(text.__contains__, _OTHER_BREAKS))
     out = parse(text) if plain else None
@@ -342,20 +354,11 @@ def _read_rows(path, parse, comment) -> tuple:
         lines = text.splitlines()
         rows = filterfalse(comment, filter(str.strip, lines))
         out = parse("\n".join(rows) + "\n")
-    if out is None:
-        numbered = enumerate(lines, start=1)
-        return None, [(n, line) for n, line in numbered if line.strip() and not comment(line)]
-    return out, None
-
-
-class _BadRow(ValueError):
-    """A data line's fault: `_walk_rows` names its file and line."""
-
-
-def _walk_rows(path, rows, row) -> dict:
-    """The key -> value map of the numbered data lines `rows`, each read by
-    row(line, map so far); the first line it refuses with _BadRow raises
-    ValueError prefixed with its file and line number."""
+    if out is not None:
+        return out
+    rows = [(n, line) for n, line in enumerate(lines, 1) if line.strip() and not comment(line)]
+    if header and rows and header(rows[0][1]):
+        del rows[0]
     out = {}
     for lineno, line in rows:
         try:
@@ -363,7 +366,13 @@ def _walk_rows(path, rows, row) -> dict:
         except _BadRow as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         out[key] = value
+    if not out:
+        raise ValueError(f"{path}: {empty}")
     return out
+
+
+class _BadRow(ValueError):
+    """A data line's fault: `_read_rows` names its file and line."""
 
 
 def _row_cells(text: str) -> list[str] | None:
@@ -411,3 +420,67 @@ def _magnitude_row(line: str, seen) -> tuple[str, float]:
     if not value > 0 or not math.isfinite(value):
         raise _BadRow("magnitude must be positive and finite")
     return t, value
+
+
+def _int_or_none(cell: str) -> int | None:
+    """int(cell), or None if the cell is not an integer literal."""
+    try:
+        return int(cell)
+    except ValueError as exc:
+        if not str(exc).startswith("invalid literal"):
+            raise  # an integer past int()'s digit limit keeps int()'s message
+        return None
+
+
+def _is_header(line: str) -> bool:
+    """Whether a first row is a header: its first cell is not a number to float()."""
+    parts = line.replace(",", "\t").split()
+    if parts:
+        try:
+            float(parts[0])
+        except ValueError:
+            return True
+    return False
+
+
+def _rank_columns(text: str) -> maxent.RankCounts | None:
+    """The rank counts of a text of `rank<TAB>count\\n` rows (a comma or a
+    space for the tab, and a header row, allowed), or None where a row is
+    spelled otherwise, a cell is not an integer in int64 or is below 1, or a
+    rank repeats."""
+    text = text.replace(",", "\t").replace(" ", "\t")
+    head, _, body = text.partition("\n")
+    cells = _row_cells(body if _is_header(head) else text)
+    if cells is None:
+        return None
+    try:
+        ranks = np.fromiter(map(int, cells[0::2]), np.int64, len(cells) // 2)
+        counts = np.fromiter(map(int, cells[1::2]), np.int64, len(cells) // 2)
+    except (ValueError, OverflowError):  # a value past int64 is worded by RankCounts
+        return None
+    if np.any(ranks[:-1] >= ranks[1:]):
+        order = np.argsort(ranks)
+        ranks, counts = ranks[order], counts[order]
+    if ranks[0] < 1 or counts.min() < 1 or np.any(ranks[:-1] == ranks[1:]):
+        return None  # the walk names the line
+    return maxent.RankCounts(ranks, counts)
+
+
+def _rank_row(line: str, seen) -> tuple[int, int]:
+    """The rank and count of one line of a rank-count table, or _BadRow
+    saying why not.  A comma-separated row with an empty or blank cell
+    (`1,,70`) has more than two cells, though `split()` would drop it."""
+    parts = line.replace(",", "\t").split()
+    if len(parts) != 2 or not all(map(str.strip, line.split(","))):
+        raise _BadRow("expected `rank<TAB>count`")
+    try:
+        rank, count = int(parts[0]), int(parts[1])
+    except ValueError:
+        named = zip(("rank", "count"), parts)
+        what, cell = next((w, c) for w, c in named if _int_or_none(c) is None)
+        raise _BadRow(f"{what} {cell!r} is not an integer") from None
+    if rank < 1 or count < 1:
+        raise _BadRow(f"{'rank' if rank < 1 else 'count'} must be >= 1")
+    if rank in seen:
+        raise _BadRow(f"duplicate rank {rank}")
+    return rank, count

@@ -481,7 +481,7 @@ class TestFit:
         data.write_text(rows)
         message = f"{data}:{line}: {cell} is not an integer"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            cli._read_rank_counts(data)
+            corpus.read_rank_counts(data)
         assert cli.main(["fit", "--input", str(data)]) == 3
         assert capsys.readouterr() == ("", f"optcoding: error: {message}\n")
 
@@ -491,6 +491,10 @@ class TestFit:
         ("1,,70\n2,20\n", "{path}:1: expected `rank<TAB>count`"),
         ("rank,count\n1,70\n2, ,20\n", "{path}:3: expected `rank<TAB>count`"),
         ("1\t10\n1\t5\n", "{path}:2: duplicate rank 1"),
+        ("1\t70\n0\t5\n", "{path}:2: rank must be >= 1"),
+        ("1\t70\n2\t0\n", "{path}:2: count must be >= 1"),
+        ("rank,count\n1,70\n2,-5\n", "{path}:3: count must be >= 1"),
+        ("# counts\r\n1 -5\r\n", "{path}:2: count must be >= 1"),
         ("# only\n\n# comments\n", "{path}: no rank counts found"),
     ])
     def test_bad_table_is_a_domain_error(self, tmp_path, capsys, rows, message):
@@ -535,8 +539,9 @@ class TestFit:
         assert res.stderr == "optcoding: error: the total count must fit in int64\n"
 
 
-# The line-by-line reader that the whole-file `_read_rank_counts` replaced,
-# as it was, but refusing a row with an empty or blank comma-separated cell:
+# The line-by-line reader that the whole-file `corpus.read_rank_counts`
+# replaced, as it was, but refusing a row with an empty or blank
+# comma-separated cell, or a rank or count below 1:
 # a rank -> count dict, made `RankCounts` by `fit_ranked`.
 def oracle_read_rank_counts(path) -> dict[int, int]:
     text = corpus.read_text(path)
@@ -559,8 +564,11 @@ def oracle_read_rank_counts(path) -> dict[int, int]:
             rank, count = int(parts[0]), int(parts[1])
         except ValueError:
             named = zip(("rank", "count"), parts)
-            what, cell = next((w, c) for w, c in named if cli._int_or_none(c) is None)
+            what, cell = next((w, c) for w, c in named if corpus._int_or_none(c) is None)
             raise ValueError(f"{path}:{lineno}: {what} {cell!r} is not an integer") from None
+        if rank < 1 or count < 1:
+            what = "rank" if rank < 1 else "count"
+            raise ValueError(f"{path}:{lineno}: {what} must be >= 1")
         if rank in out:
             raise ValueError(f"{path}:{lineno}: duplicate rank {rank}")
         out[rank] = count
@@ -627,22 +635,23 @@ class TestRankCountsReader:
         path = tmp_path_factory.getbasetemp() / "counts.tsv"
         path.write_bytes(table.encode())
         want = read_outcome(oracle_read_rank_counts, path)
-        assert read_outcome(cli._read_rank_counts, path) == want
+        assert read_outcome(corpus.read_rank_counts, path) == want
 
     @pytest.mark.parametrize("text", [
         "1\t70\n2\t20\n3\t10\n",
         "rank,count\n1,70\n2,20\n3,10\n",
         "# counts\r\n1\t70\r\n\r\n2\t20\r\n3\t10",
         "  # indented comment\n3\t10\n1\t70\n2\t20\n",
+        "1 70\n2 20\n3 10\n",
     ])
     def test_every_spelling_reads_the_same_table(self, tmp_path, monkeypatch, text):
         def walk(*args):
             raise AssertionError("a good table was read line by line")
 
-        monkeypatch.setattr(corpus, "_walk_rows", walk)  # the walk only names a bad line
+        monkeypatch.setattr(corpus, "_rank_row", walk)  # the walk only names a bad line
         path = tmp_path / "counts.tsv"
         path.write_bytes(text.encode())
-        observed = cli._read_rank_counts(path)
+        observed = corpus.read_rank_counts(path)
         assert isinstance(observed, maxent.RankCounts)
         assert (observed.ranks.tolist(), observed.counts.tolist()) == ([1, 2, 3], [70, 20, 10])
 
@@ -655,7 +664,7 @@ class TestRankCountsReader:
         # blank CSV cells are refused; spaces around a nonblank cell are not
         path = tmp_path / "counts.tsv"
         path.write_text(text)
-        observed = cli._read_rank_counts(path)
+        observed = corpus.read_rank_counts(path)
         assert (observed.ranks.tolist(), observed.counts.tolist()) == ([1, 2, 3], [70, 20, 10])
 
 

@@ -1,10 +1,14 @@
-"""The package namespace republishes each library module's `__all__`."""
+"""The package namespace republishes each library module's `__all__`, and the CLI
+uses only their public names."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
 import optcoding
+import optcoding.cli
 
 MODULES = ["assign", "codebook", "corpus", "maxent", "randtype"]
 
@@ -27,3 +31,16 @@ def test_no_name_is_public_in_two_modules():
 
 def test_cli_names_stay_out_of_the_package():
     assert not hasattr(optcoding, "main") and not hasattr(optcoding, "MAX_SIZE")
+
+
+def test_cli_uses_no_private_name_of_a_library_module():
+    # the CLI is a shell over the library's public names: no reader or
+    # helper of its own reaching into a module's internals
+    tree = ast.parse(Path(optcoding.cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in MODULES and node.attr.startswith("_")
+    ]
+    assert private == []

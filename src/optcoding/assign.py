@@ -231,7 +231,7 @@ def mean_cost(dist: RankedDistribution, asg: Assignment, g: CostFunction) -> flo
     mean code length.
     """
     _check_sizes(dist, asg)
-    return float(dist.probs @ g(asg.magnitudes))
+    return float(np.einsum("i,i", dist.probs, g(asg.magnitudes)))
 
 
 def optimal_assignment(dist: RankedDistribution, ms: MagnitudeMultiset) -> Assignment:
@@ -274,14 +274,14 @@ def brute_force_minimum(
     best = math.inf
     perms = itertools.permutations(ms.values.tolist(), V)
     while chunk := list(itertools.islice(perms, 1 << 16)):
-        best = min(best, float((g(np.array(chunk)) @ dist.probs).min()))
+        best = min(best, float(np.einsum("ij,j", g(np.array(chunk)), dist.probs).min()))
     return best
 
 
 def _tied_pairs(run_lengths: np.ndarray) -> int:
     """Pairs inside runs of the given lengths: the sum of C(k, 2)."""
     k = run_lengths.astype(np.int64)
-    return int(k @ (k - 1)) // 2
+    return int(np.einsum("i,i", k, k - 1)) // 2
 
 
 def _stable_order(runs: np.ndarray, codes: np.ndarray, bits: int) -> np.ndarray:
@@ -308,7 +308,7 @@ def _cross_run_inversions(runs: np.ndarray, codes: np.ndarray, bits: int) -> int
         pair = runs >> 1
         src = _stable_order(pair, codes, bits)
         from_right = runs[src] & 1
-        total += int(src @ from_right) - int(pos @ from_right)
+        total += int(np.einsum("i,i", src - pos, from_right))
         codes = codes[src]
         runs = pair  # the sort keeps every merged run in its place
     return total

@@ -3,10 +3,7 @@
 Subcommands: codes, lengths, simulate, fit, analyze, figure, oracle.
 Exit codes: 0 success, 2 usage error, 3 numeric or domain error, 4 I/O
 error.  Identical invocations (same flags and seed) produce byte-identical
-artifacts, and no output file is created on any error path.  For the
-fits of `analyze` and `fit` that also takes the same BLAS thread count
-(e.g. OPENBLAS_NUM_THREADS): they reduce sums with BLAS, whose summation
-order depends on it.
+artifacts, and no output file is created on any error path.
 """
 
 from __future__ import annotations

@@ -469,4 +469,4 @@ def mean_code_length(table: CodeTable, dist: RankedDistribution) -> float:
         raise ValueError(
             f"table has {table.size} entries but distribution has {dist.size} ranks"
         )
-    return float(dist.probs @ table.lengths())
+    return float(np.einsum("i,i", dist.probs, table.lengths()))

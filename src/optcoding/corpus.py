@@ -246,8 +246,8 @@ def optimal_recoding(
     l_min = index(l_min)  # an exact int: a numpy integer would wrap in the sum below
     codebook._require_l_min(l_min)
     blocks = codebook.block_counts(alphabet.size, l_min, table.size)
-    # No BLAS sums: their order follows its thread count.  l_optimal is exact
-    # at any l_min: a length block's token count times its length, in Python ints.
+    # l_optimal is exact at any l_min: a length block's token count times its
+    # length, in Python ints.
     n = table.total_tokens
     l_actual = float((table.frequencies * table.magnitudes).sum()) / n
     block_tokens = np.add.reduceat(table.frequencies, list(accumulate(blocks[:-1], initial=0)))

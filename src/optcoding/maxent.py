@@ -310,7 +310,7 @@ class ZetaParams:
         a bounded scalar search on alpha."""
         from scipy import optimize  # imported here: it is most of `import optcoding`
 
-        s = float(np.log(rf) @ cf)
+        s = float(np.einsum("i,i", np.log(rf), cf))
 
         def nll(a: float) -> float:
             return a * s + n * math.log(riemann_zeta(a))
@@ -364,10 +364,10 @@ class ZipfMandelbrotParams:
 
 
 def _log_offset_sums(rf: np.ndarray, cf: np.ndarray) -> Callable[[float], float]:
-    """b -> float(np.log(rf - 1.0 + b) @ cf), bit for bit, remembering the
-    last b and its sum.  Rank r sits at support index r - 1, so this is the
-    Zipf-Mandelbrot sum of c log(r - 1 + b).  One buffer takes every b's
-    offsets and their logarithms in place."""
+    """b -> float(np.einsum("i,i", np.log(rf - 1.0 + b), cf)), bit for bit,
+    remembering the last b and its sum.  Rank r sits at support index r - 1,
+    so this is the Zipf-Mandelbrot sum of c log(r - 1 + b).  One buffer takes
+    every b's offsets and their logarithms in place."""
     offsets = rf - 1.0
     buf = np.empty_like(offsets)
     last_b, last_sum = None, 0.0
@@ -376,7 +376,7 @@ def _log_offset_sums(rf: np.ndarray, cf: np.ndarray) -> Callable[[float], float]
         nonlocal last_b, last_sum
         if b != last_b:
             np.add(offsets, b, out=buf)
-            last_b, last_sum = b, float(np.log(buf, out=buf) @ cf)
+            last_b, last_sum = b, float(np.einsum("i,i", np.log(buf, out=buf), cf))
         return last_sum
 
     return log_offset_sum
@@ -402,11 +402,11 @@ class GeometricParams:
     def _fit(cls, rf: np.ndarray, cf: np.ndarray, n: int) -> tuple[dict, float]:
         """MLE (params, log-likelihood) at ranks rf with counts cf summing to n:
         the closed form q = 1/mean."""
-        mean = float(rf @ cf) / n
-        q = 1.0 / mean
+        total = float(np.einsum("i,i", rf, cf))
+        q = 1.0 / (total / n)
         if not 0 < q < 1:
             raise ValueError("geometric MLE is degenerate for this data")
-        return {"q": q}, n * math.log(q) + float((rf - 1.0) @ cf) * math.log1p(-q)
+        return {"q": q}, n * math.log(q) + (total - n) * math.log1p(-q)
 
 
 # The rank-distribution families `fit_mle` knows, in their default order; the

@@ -347,9 +347,20 @@ class TestSimulate:
         assert payload["n_words"] == 500
         assert payload["tau"] <= 0 or payload["tau"] is None
 
-    def test_bytes_do_not_follow_the_blas_thread_count(self):
-        # 11k types: enough for OpenBLAS to split a dot product over two threads
-        args = ("simulate", "--N", "5", "--ps", "0.3", "--words", "50000", "--seed", "7")
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "fit"])
+    def test_bytes_do_not_follow_the_blas_thread_count(self, tmp_path, command):
+        # 11,114 types: enough for OpenBLAS to split a dot product over two threads
+        simulate = ["simulate", "--N", "5", "--ps", "0.3", "--words", "50000", "--seed", "7"]
+        text, table, counts = (tmp_path / name for name in ("typed.txt", "table.tsv", "counts.tsv"))
+        if command != "simulate":
+            report = str(tmp_path / "report.json")
+            assert cli.main([*simulate, "--text-out", str(text), "--output", report]) == 0
+            assert cli.main(["analyze", "--input", str(text), "--table-out", str(table),
+                             "--output", report]) == 0
+            rows = table.read_text().splitlines()[1:]
+            counts.write_text("".join(f"{i}\t{row.split()[1]}\n" for i, row in enumerate(rows, 1)))
+        args = {"simulate": simulate, "analyze": ["analyze", "--input", str(text)],
+                "fit": ["fit", "--input", str(counts)]}[command]
         one, two = (run(*args, env={**os.environ, "OPENBLAS_NUM_THREADS": t}) for t in "12")
         assert one.returncode == two.returncode == 0
         assert one.stdout == two.stdout

@@ -982,8 +982,10 @@ class TestFitting:
 
     @pytest.mark.parametrize("family, params, log_likelihood", [
         ("zeta", {"alpha": 1.9948974472587957}, -4940.063712719619),
-        ("zipf-mandelbrot", {"alpha": 2.035981610106068, "b": 1.0620128219138687},
-         -4939.52798764894),
+        # re-recorded when the objective's sum became an einsum: L-BFGS-B stops
+        # where its tolerance ends it, and that moves with the sum's rounding
+        ("zipf-mandelbrot", {"alpha": 2.035982049689102, "b": 1.0620133771753468},
+         -4939.527987648882),
         ("geometric", {"q": 0.20503007107709129}, -7422.769786400733),
     ])
     def test_fit_on_a_seeded_table_is_unchanged(self, family, params, log_likelihood):
@@ -1013,7 +1015,8 @@ def fit_with_fresh_sums(observed) -> maxent.FitResult:
 
     def nll(theta):
         a, b = theta
-        return a * float(np.log(rf - 1.0 + b) @ cf) + n * maxent._log_hurwitz_zeta(a, b)
+        s = float(np.einsum("i,i", np.log(rf - 1.0 + b), cf))
+        return a * s + n * maxent._log_hurwitz_zeta(a, b)
 
     res = optimize.minimize(nll, x0=[fit_mle(counts, "zeta").params["alpha"], 1.0],
                             method="L-BFGS-B", bounds=[(1.0 + 1e-6, 64.0), (1e-6, 1e6)])
@@ -1060,7 +1063,7 @@ class TestZipfMandelbrotKeptSum:
         np.random.default_rng(0).shuffle(bs)
         log_offset_sum = maxent._log_offset_sums(rf, cf)
         for b in [*bs[:500], *np.repeat(bs[500:], 2)]:  # fresh, then kept, sums
-            fresh = float(np.log(rf - 1.0 + b) @ cf)
+            fresh = float(np.einsum("i,i", np.log(rf - 1.0 + b), cf))
             assert log_offset_sum(b).hex() == fresh.hex(), b
 
 

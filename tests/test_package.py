@@ -1,5 +1,5 @@
-"""The package namespace republishes each library module's `__all__`, and the CLI
-uses only their public names."""
+"""The package namespace republishes each library module's `__all__`, the CLI
+uses only their public names, and no module sums through BLAS."""
 
 import ast
 import importlib
@@ -44,3 +44,17 @@ def test_cli_uses_no_private_name_of_a_library_module():
         and node.value.id in MODULES and node.attr.startswith("_")
     ]
     assert private == []
+
+
+def test_no_module_reduces_with_blas():
+    """A BLAS dot sums in an order that follows its thread count, so an output
+    that went through one could change with OPENBLAS_NUM_THREADS.  Weighted
+    sums are `np.einsum`, numpy's own loop."""
+    found = []
+    for path in sorted(Path(optcoding.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+                    or isinstance(node, ast.Attribute)
+                    and node.attr in {"dot", "vdot", "inner", "matmul", "tensordot", "linalg"}):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from itertools import chain, islice
 
 import numpy as np
@@ -27,10 +28,8 @@ _SEP = {"tsv": "\t", "csv": ","}
 _CHUNK = 2**16  # most rows, or words, in one text chunk of an output
 
 # Most rows of `lengths` and `figure` and most words of `simulate`, so that more
-# is a domain error, not an out-of-memory kill.  At 10**7 rows written to a file
-# (Python 3.11, numpy 2.4, x86-64 Linux), `figure --N 3 --ps 0.18` peaks at 39 MB
-# of resident memory and `lengths --N 2` at 34 MB; at N = 1, where each row is
-# its own block, `lengths` peaks at 0.26 GB and `figure --ps 0.18` at 0.57 GB.
+# is a domain error, not an out-of-memory kill.  At 10**7 rows in a file, either
+# table peaks at 34-41 MB at N = 1, 2, 3 or 26 (x86-64 Linux, Python 3.11).
 MAX_SIZE = 10**7
 
 
@@ -89,20 +88,12 @@ def _table_text(header: tuple[str, ...], columns, fmt: str):
 def _rank_table_text(header: tuple[str, ...], ends: np.ndarray, values: np.ndarray, fmt: str):
     """Rows `i, values[k]` for the ranks i of run k: those after ends[k - 1]
     (from 1 for k = 0) through ends[k], as text chunks of at most _CHUNK rows.
-    A run is a length block of a rank law.  Where every run is one row (N = 1,
-    or a one-row table), the rows are formatted one by one.  Otherwise each
-    run's tail is formatted once, and a run cut where the rank gains a digit
-    is cut again into chunks of fixed-width rows: each a (rows, width) byte
-    array, its digits from divmod and its tail broadcast.  repr is str for
-    ints and floats, and a cheaper call."""
-    sep, n = _SEP[fmt], int(ends[-1])
-    if len(ends) == n:  # values made Python objects a chunk at a time, as rows are joined
-        chunks = (values[k : k + _CHUNK].tolist() for k in range(0, n, _CHUNK))
-        cells = map(repr, chain.from_iterable(chunks))
-        yield from _table_text(header, (map(repr, range(1, n + 1)), cells), fmt)
-        return
+    A run is a length block of a rank law.  Each run's tail is formatted once,
+    and a run cut where the rank gains a digit is cut again into chunks of
+    fixed-width rows: each a (rows, width) byte array, its digits from divmod
+    and its tail broadcast.  repr is str for ints and floats, and a cheaper call."""
+    sep, start = _SEP[fmt], 0
     yield f"{sep.join(header)}\n"
-    start = 0
     for end, value in zip(ends.tolist(), values.tolist()):
         tail = np.frombuffer(f"{sep}{value!r}\n".encode(), np.uint8)
         while start < end:  # a chunk: ranks start + 1 .. stop, all of d digits
@@ -192,13 +183,24 @@ def _cmd_codes(args) -> dict:
     return {args.output: _table_text(("rank", "code"), (ranks, table.codes), args.format)}
 
 
+def _rank_table(args, column: str, law):
+    """The `i, column` table of ranks 1..--imax, `law` taking an array of ranks to their values."""
+    n = args.imax
+    if codebook.code_length_for_rank(args.N, args.lmin, n) - args.lmin < n - 1:  # blocks < ranks
+        ends = np.cumsum(codebook.block_counts(args.N, args.lmin, n))
+        return _rank_table_text(("i", column), ends, law(ends), args.format)
+    law(np.array([n]))  # every rank its own block: a fault is raised here, before any row is made
+    values = (law(np.arange(k + 1, min(k + _CHUNK, n) + 1)).tolist() for k in range(0, n, _CHUNK))
+    cells = map(repr, chain.from_iterable(values))
+    return _table_text(("i", column), (map(repr, range(1, n + 1)), cells), args.format)
+
+
 def _cmd_lengths(args) -> dict:
     _check_at_least("--lmin", args.lmin, 0)
     _check_size("--imax", args.imax)
     _check_at_least("--N", args.N, 1)
-    ends = np.cumsum(codebook.block_counts(args.N, args.lmin, args.imax))
-    lengths = codebook.code_length_for_rank(args.N, args.lmin, ends)
-    return {args.output: _rank_table_text(("i", "l_i"), ends, lengths, args.format)}
+    law = partial(codebook.code_length_for_rank, args.N, args.lmin)
+    return {args.output: _rank_table(args, "l_i", law)}
 
 
 def _cmd_figure(args) -> dict:
@@ -207,9 +209,7 @@ def _cmd_figure(args) -> dict:
     _check_at_least("--N", args.N, 1)
     _check_ps(args.ps)
     params = randtype.RandomTypingParams(args.N, args.ps, args.lmin)
-    ends = np.cumsum(codebook.block_counts(args.N, args.lmin, args.imax))
-    probs = randtype.rank_probability(params, ends)
-    return {args.output: _rank_table_text(("i", "p_i"), ends, probs, args.format)}
+    return {args.output: _rank_table(args, "p_i", partial(randtype.rank_probability, params))}
 
 
 def _check_recoding_lmin(lmin: int) -> None:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from optcoding import cli, codebook, corpus, maxent
 from optcoding.codebook import block_counts, code_length_for_rank, string_count_through_length
-from optcoding.randtype import RandomTypingParams, figure2_data
+from optcoding.randtype import RandomTypingParams, figure2_data, rank_probability
 
 CLI = [sys.executable, "-m", "optcoding"]
 
@@ -123,6 +123,19 @@ class TestLargeLmin:
     def test_figure_scale_past_the_float_range(self, lmin):
         res = one_line_error("figure", "--N", "2", "--ps", "0.5", "--lmin", lmin, "--imax", "3")
         assert res.returncode == 3 and "overflows a float" in res.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("lengths", "--N", "1"), ("figure", "--N", "1", "--ps", "0.5"),
+    ], ids=lambda argv: argv[0])
+    def test_fault_past_the_first_chunk_writes_nothing(self, tmp_path, capsys, argv):
+        # At N = 1 the lengths pass the int64 range at rank 70,002, in the
+        # second 2**16-rank chunk of the law: the fault must come before any row
+        argv = [*argv, "--lmin", str(2**63 - 70_001), "--imax", "100000"]
+        for output in ([], ["--output", str(tmp_path / "out.txt")]):
+            assert cli.main([*argv, *output]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err == "optcoding: error: code lengths beyond the int64 range\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 # Values that the library refused with a message naming no flag, such as
@@ -275,14 +288,35 @@ class TestRankTableBlocks:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == expected
 
-    @pytest.mark.parametrize("n, lmin, imax", [(26, 1, 250_000), (2, 0, 1500), (3, 5, 10), (1, 1, 30)])
+    @pytest.mark.parametrize("imax", [65_535, 65_536, 65_537])
+    @pytest.mark.parametrize("command", ["lengths", "figure"])
+    def test_rows_across_a_chunk_edge(self, capsys, command, imax):
+        # at N = 1 the law is read 2**16 ranks at a time: its values must be
+        # those of one read over every rank, SIMD remainder loops included
+        ranks = np.arange(1, imax + 1)
+        if command == "lengths":
+            header, flags, values = "i\tl_i", [], code_length_for_rank(1, 1, ranks)
+        else:
+            params = RandomTypingParams(1, 0.3, 1)
+            header, flags, values = "i,p_i", ["--ps", "0.3"], rank_probability(params, ranks)
+        sep = header[1]
+        rows = [f"{i}{sep}{v!r}" for i, v in enumerate(values.tolist(), start=1)]
+        assert cli.main([command, "--N", "1", "--imax", str(imax), *flags]) == 0
+        assert capsys.readouterr().out.split("\n") == [header, *rows, ""]
+
+    @pytest.mark.parametrize("n, lmin, imax", [
+        (26, 1, 250_000), (2, 0, 1500), (3, 5, 10), (1, 1, 30), (1, 1, 131_073),
+    ])
     @pytest.mark.parametrize("command", ["lengths", "figure"])
     def test_law_evaluated_once_per_block(self, monkeypatch, capsys, command, n, lmin, imax):
-        # the law is constant on a length block: 4 blocks hold 250,000 ranks at N = 26
+        # the law is constant on a length block: 4 blocks hold 250,000 ranks at
+        # N = 26; at N = 1, where every rank is its own block, it is read at the
+        # last rank, then 2**16 ranks at a time
         sizes, law = [], codebook.code_length_for_rank
 
         def spy(N, l_min, i):
-            sizes.append(np.size(i))
+            if np.ndim(i):  # the law's array calls, not the table's scalar shape check
+                sizes.append(np.size(i))
             return law(N, l_min, i)
 
         monkeypatch.setattr(codebook, "code_length_for_rank", spy)
@@ -290,9 +324,12 @@ class TestRankTableBlocks:
         argv = [command, "--N", str(n), "--lmin", str(lmin), "--imax", str(imax), *flags]
         assert cli.main(argv) == 0
         assert capsys.readouterr().out.count("\n") == imax + 1
-        assert sizes == [len(block_counts(n, lmin, imax))]
+        if n > 1:
+            assert sizes == [len(block_counts(n, lmin, imax))]
+        else:
+            assert sizes[0] == 1 and max(sizes[1:]) <= 2**16 and sum(sizes[1:]) == imax
 
-    @pytest.mark.parametrize("run", [1, 20, 40])  # the row path, then records
+    @pytest.mark.parametrize("run", [1, 20, 40])  # runs of one row, then longer runs
     def test_signed_zeros_stay_apart(self, run):
         # 0.0 == -0.0, so a table keyed or split by value would merge them
         cells = ["0.0"] * run + ["-0.0"] * run + ["0.0"] * run
@@ -313,7 +350,7 @@ class TestRankTableBlocks:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), fmt=st.sampled_from(["csv", "tsv"]))
     def test_bytes_match_per_row_formatting(self, data, fmt):
-        # run lengths on either side of the row/records switch and of 10**k
+        # runs of one row and longer, and run lengths on either side of 10**k
         lengths = st.integers(1, 12) | st.sampled_from([9, 10, 11, 89, 90, 91, 899, 900, 901])
         if data.draw(st.booleans(), "floats"):
             cells = st.floats() | st.sampled_from([0.0, -0.0])
@@ -831,67 +868,34 @@ class TestSizeCap:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
-    def test_row_by_row_table_in_bounded_memory(self, tmp_path):
-        # At N = 1 every rank is its own block, so the table is written row
-        # by row; one list of every row's string peaked near 330 MB here.
-        # The child reports its own VmHWM: its ru_maxrss would also count
-        # the test runner's peak, which the kernel carries over at exec.
-        target = tmp_path / "lengths.tsv"
-        script = (
-            "import re, sys\n"
-            "from optcoding import cli\n"
-            "assert cli.main(['lengths', '--N', '1', '--imax', str(2 * 10**6),\n"
-            "                 '--output', sys.argv[1]]) == 0\n"
-            "status = open('/proc/self/status').read()\n"
-            "print(int(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1)) // 1024)\n"
-        )
-        out = subprocess.run([sys.executable, "-c", script, str(target)], capture_output=True,
-                             text=True, check=True, timeout=120)
-        with target.open() as fh:
-            assert fh.readline() == "i\tl_i\n"
-            assert sum(1 for _ in fh) == 2 * 10**6
-        assert int(out.stdout) < 260
-
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
-    def test_row_by_row_values_made_objects_a_chunk_at_a_time(self, tmp_path):
-        # One list of every float value (values.tolist()) peaked at 193 MB
-        # here (x86-64 Linux, Python 3.11); converting 2**16 values at a time,
-        # 139 MB.
-        target = tmp_path / "figure.csv"
-        script = (
-            "import re, sys\n"
-            "from optcoding import cli\n"
-            "assert cli.main(['figure', '--N', '1', '--ps', '0.18', '--imax', str(2 * 10**6),\n"
-            "                 '--output', sys.argv[1]]) == 0\n"
-            "status = open('/proc/self/status').read()\n"
-            "print(int(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1)) // 1024)\n"
-        )
-        out = subprocess.run([sys.executable, "-c", script, str(target)], capture_output=True,
-                             text=True, check=True, timeout=120)
-        with target.open() as fh:
-            assert fh.readline() == "i,p_i\n"
-            assert sum(1 for _ in fh) == 2 * 10**6
-        assert int(out.stdout) < 165
-
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
-    def test_records_table_streamed_in_bounded_memory(self, tmp_path):
+    @pytest.mark.parametrize("argv, header, bound", [
+        # At N = 1 every rank is its own block.  Its law made at every rank at
+        # once peaked at 75 MB (`lengths`) and 139 MB (`figure`) here; made
+        # 2**16 ranks at a time, both peak near 40 MB.
+        (["lengths", "--N", "1"], "i\tl_i\n", 60),
+        (["figure", "--N", "1", "--ps", "0.18"], "i,p_i\n", 60),
         # The whole table in one byte buffer, then in a str, peaked at 146 MB
-        # here (x86-64 Linux, Python 3.11); written 2**16 rows at a time, 38 MB.
-        target = tmp_path / "figure.csv"
+        # here; written 2**16 rows at a time, 38 MB.
+        (["figure", "--N", "3", "--ps", "0.18"], "i,p_i\n", 80),
+    ], ids=["lengths-N1", "figure-N1", "figure-N3"])
+    def test_table_in_bounded_memory(self, tmp_path, argv, header, bound):
+        # Peaks in MB at 2 * 10**6 rows written to a file (x86-64 Linux,
+        # Python 3.11).  The child reports its own VmHWM: its ru_maxrss would
+        # also count the test runner's peak, which the kernel carries over at exec.
+        target = tmp_path / "table.txt"
         script = (
             "import re, sys\n"
             "from optcoding import cli\n"
-            "assert cli.main(['figure', '--N', '3', '--ps', '0.18', '--imax', str(2 * 10**6),\n"
-            "                 '--output', sys.argv[1]]) == 0\n"
+            "assert cli.main([*sys.argv[2:], '--imax', str(2 * 10**6), '--output', sys.argv[1]]) == 0\n"
             "status = open('/proc/self/status').read()\n"
             "print(int(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1)) // 1024)\n"
         )
-        out = subprocess.run([sys.executable, "-c", script, str(target)], capture_output=True,
-                             text=True, check=True, timeout=120)
+        out = subprocess.run([sys.executable, "-c", script, str(target), *argv],
+                             capture_output=True, text=True, check=True, timeout=120)
         with target.open() as fh:
-            assert fh.readline() == "i,p_i\n"
+            assert fh.readline() == header
             assert sum(1 for _ in fh) == 2 * 10**6
-        assert int(out.stdout) < 80
+        assert int(out.stdout) < bound
 
     @pytest.mark.parametrize("argv", [
         ["lengths", "--N", "2", "--imax"],

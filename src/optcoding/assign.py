@@ -292,23 +292,32 @@ def _stable_order(runs: np.ndarray, codes: np.ndarray, bits: int) -> np.ndarray:
     return np.argsort(key.astype(np.min_scalar_type(int(key.max()))), kind="stable")
 
 
-def _cross_run_inversions(runs: np.ndarray, codes: np.ndarray, bits: int) -> int:
-    """Pairs i < j with codes[i] > codes[j], for integer codes below 2**bits.
+def _cross_run_inversions(runs: np.ndarray, codes: np.ndarray, weights: np.ndarray,
+                          bits: int) -> int:
+    """Weighted pairs i < j with codes[i] > codes[j], each counted
+    weights[i] * weights[j] times, for integer codes below 2**bits.
 
     `runs` numbers consecutive stretches 0, 1, 2, ... in order, and the
     codes never decrease within a stretch.  Bottom-up merge sort of the
     runs: each level merges runs 2k and 2k + 1 with one stable sort by
-    (k, code).  An element of the right run moves left past exactly the
-    left-run elements it is inverted with, so the level's inversions are
-    the sum of how far the right-run elements moved.
+    (k, code).  Item i stands for weights[i] equal elements, starting at
+    the expanded position sum(weights[:i]).  An item of the right run moves
+    left past exactly the left-run items it is inverted with, and no item
+    of the left run moves left, so the level's weighted inversions are the
+    sum of weight times how far each item's expanded start moved left.
     """
-    pos = np.arange(codes.size, dtype=np.int64)
+    start = np.cumsum(weights) - weights
     total = 0
     while runs[-1] > 0:
         pair = runs >> 1
         src = _stable_order(pair, codes, bits)
-        from_right = runs[src] & 1
-        total += int(np.einsum("i,i", src - pos, from_right))
+        weights = weights[src]
+        moved = start[src]
+        start = np.cumsum(weights)
+        start -= weights
+        moved -= start
+        np.maximum(moved, 0, out=moved)  # a left-run item moves right or stays
+        total += int(np.einsum("i,i", moved, weights))
         codes = codes[src]
         runs = pair  # the sort keeps every merged run in its place
     return total
@@ -324,8 +333,10 @@ def pair_counts(dist: RankedDistribution, asg: Assignment) -> tuple[int, int]:
     number of strict inversions of the magnitudes, counted by merging the
     G sorted groups, and n_d = C(V, 2) - T_p - T_m + T_pm - n_c, where
     T_p, T_m and T_pm count the pairs tied in probability, in magnitude
-    and in both.  Exact Python ints in O(V log V) time, with ceil(log2 G)
-    merge levels.
+    and in both.  The merge runs over the K runs of ranks tied in both,
+    each one item weighted by its size: an O(V log V) sort, then
+    ceil(log2 G) merge levels of O(K log K).  No int64 sum exceeds
+    V (V - 1), so the counts are exact Python ints for V up to 3e9.
     """
     _check_sizes(dist, asg)
     p = dist.probs
@@ -335,11 +346,12 @@ def pair_counts(dist: RankedDistribution, asg: Assignment) -> tuple[int, int]:
     new_group = np.r_[True, p[:-1] > p[1:]]
     group = np.cumsum(new_group) - 1
     codes = codes[_stable_order(group, codes, bits)]  # `group` is already sorted
-    run_start = new_group | np.r_[True, codes[1:] != codes[:-1]]
+    run_starts = np.flatnonzero(new_group | np.r_[True, codes[1:] != codes[:-1]])
+    run_sizes = np.diff(np.r_[run_starts, V])
     t_p = _tied_pairs(np.diff(np.flatnonzero(np.r_[new_group, True])))
     t_m = _tied_pairs(np.bincount(codes))
-    t_pm = _tied_pairs(np.diff(np.flatnonzero(np.r_[run_start, True])))
-    n_c = _cross_run_inversions(group, codes, bits)
+    t_pm = _tied_pairs(run_sizes)
+    n_c = _cross_run_inversions(group[run_starts], codes[run_starts], run_sizes, bits)
     n_d = V * (V - 1) // 2 - t_p - t_m + t_pm - n_c
     return n_c, n_d
 

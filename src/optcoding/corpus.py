@@ -343,17 +343,19 @@ def read_rank_counts(path) -> maxent.RankCounts:
 def _read_rows(path, parse, row, comment, empty: str, header=None):
     """The value of a two-column file, in up to three passes: `parse` of the
     whole text, where that has no '#' and no line break but "\\n"; `parse` of
-    its data lines (neither blank nor `comment`) joined with "\\n"; else the
-    key -> value map of row(line, map so far) over the data lines but a first
-    one that is a `header`.  A line that `row` refuses with _BadRow, or an
+    its data lines (neither blank nor `comment`, which is asked only where
+    the text holds a '#') joined with "\\n"; else the key -> value map of
+    row(line, map so far) over the data lines but a first one that is a
+    `header`.  A line that `row` refuses with _BadRow, or an
     empty map, raises ValueError naming the file (and the line)."""
     text = read_text(path)
-    plain = "#" not in text and not any(map(text.__contains__, _OTHER_BREAKS))
+    commented = "#" in text  # a comment line holds a '#'; else skip the per-line predicate
+    plain = not commented and not any(map(text.__contains__, _OTHER_BREAKS))
     out = parse(text) if plain else None
     if out is None:  # comments, blank lines, other line ends, or a fault
         lines = text.splitlines()
-        rows = filterfalse(comment, filter(str.strip, lines))
-        out = parse("\n".join(rows) + "\n")
+        rows = filter(str.strip, lines)
+        out = parse("\n".join(filterfalse(comment, rows) if commented else rows) + "\n")
     if out is not None:
         return out
     rows = [(n, line) for n, line in enumerate(lines, 1) if line.strip() and not comment(line)]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optcoding import assign
 from optcoding.assign import (
     Assignment,
     CostFunction,
@@ -295,10 +296,11 @@ class TestPairCounts:
     @given(
         n_probs=st.integers(1, 4),
         n_mags=st.integers(1, 4),
-        v=st.integers(1, 200),
+        v=st.integers(1, 5000),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_tie_heavy_inputs_match_the_oracles(self, n_probs, n_mags, v, seed):
+        # at most 4 x 4 runs tied in both coordinates, each one weighted merge item
         rng = np.random.default_rng(seed)
         weights = rng.choice(np.arange(1.0, 9.0), n_probs, replace=False)
         d = RankedDistribution.from_weights(rng.choice(weights, v))
@@ -308,6 +310,30 @@ class TestPairCounts:
         assert all(type(n) is int for n in got)
         if v <= 60:
             assert got == brute_pair_counts(d.probs, l)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 7), st.integers(2**30 - 2**10, 2**30)),
+                    min_size=1, max_size=4))
+    def test_weighted_merge_near_two_to_the_thirty(self, drawn):
+        # runs of about 2**30 tied ranks, too many to build as a table: the
+        # merge's int64 sums against the weighted pair count in Python ints;
+        # each drawn item (starts a new run, code, weight)
+        runs = np.cumsum([False] + [new for new, _, _ in drawn[1:]]).tolist()
+        items = sorted((run, code, w) for run, (_, code, w) in zip(runs, drawn))
+        runs, codes, weights = (np.array(col, dtype=np.int64) for col in zip(*items))
+        want = sum(wi * wj for k, (ri, ci, wi) in enumerate(items) for rj, cj, wj in items[k + 1:]
+                   if ri < rj and ci > cj)
+        assert assign._cross_run_inversions(runs, codes, weights, 3) == want
+
+    def test_weighted_merge_closed_form(self):
+        # four runs in descending code order: every cross pair is inverted, and
+        # the count, sum_{i<j} w_i w_j = ((sum w)**2 - sum w**2) / 2, is past 2**62
+        weights = [2**30 - 1, 2**30, 2**30 + 1, 2**30 - 7]
+        want = (sum(weights) ** 2 - sum(w * w for w in weights)) // 2
+        assert want > 2**62
+        got = assign._cross_run_inversions(np.arange(4), np.arange(3, -1, -1),
+                                           np.array(weights, dtype=np.int64), 2)
+        assert got == want
 
     @pytest.mark.parametrize("v", [1, 2, 3, 17, 64, 65, 300])
     def test_all_tied(self, v):

@@ -1006,16 +1006,15 @@ class TestFitting:
 
 def fit_with_fresh_sums(observed) -> maxent.FitResult:
     """The Zipf-Mandelbrot fit as it was before it kept S(b): the same search,
-    on an objective that computes sum c log(r - 1 + b) at every call."""
+    on an objective that evaluates S(b) afresh at every call."""
     from scipy import optimize
 
     counts = maxent._as_rank_counts(observed)
-    rf, cf = counts.ranks.astype(float), counts.counts.astype(float)
     n = int(counts.counts.sum())
 
     def nll(theta):
         a, b = theta
-        s = float(np.einsum("i,i", np.log(rf - 1.0 + b), cf))
+        s = maxent._log_offset_sums(counts)(b)
         return a * s + n * maxent._log_hurwitz_zeta(a, b)
 
     res = optimize.minimize(nll, x0=[fit_mle(counts, "zeta").params["alpha"], 1.0],
@@ -1058,13 +1057,110 @@ class TestZipfMandelbrotKeptSum:
 
     def test_kept_sum_equals_the_fresh_sum(self):
         observed = random_typing_counts(20_000, 5)
-        rf, cf = observed.ranks.astype(float), observed.counts.astype(float)
         bs = np.geomspace(1e-6, 1e6, 1000)
         np.random.default_rng(0).shuffle(bs)
-        log_offset_sum = maxent._log_offset_sums(rf, cf)
+        log_offset_sum = maxent._log_offset_sums(observed)
         for b in [*bs[:500], *np.repeat(bs[500:], 2)]:  # fresh, then kept, sums
-            fresh = float(np.einsum("i,i", np.log(rf - 1.0 + b), cf))
+            fresh = maxent._log_offset_sums(observed)(b)
             assert log_offset_sum(b).hex() == fresh.hex(), b
+
+
+def per_rank_terms(observed: RankCounts, b: float) -> list[float]:
+    """c log(r - 1 + b) for every observed rank, one `math.log` each."""
+    pairs = zip(observed.ranks.tolist(), observed.counts.tolist())
+    return [c * math.log(r - 1 + b) for r, c in pairs]
+
+
+@st.composite
+def tables_with_long_runs(draw) -> RankCounts:
+    """Rank counts made of stretches of consecutive ranks with one count,
+    with gaps between some of them, and at least one run of 64 or more ranks."""
+    stretches = draw(st.lists(st.tuples(st.integers(0, 50), st.integers(1, 400),
+                                        st.integers(1, 10**6)), min_size=1, max_size=8))
+    long_at = draw(st.integers(0, len(stretches) - 1))
+    gap, _, count = stretches[long_at]
+    stretches[long_at] = (gap, draw(st.integers(64, 5000)), count)
+    ranks, counts, top = [], [], 0
+    for gap, size, count in stretches:
+        ranks += range(top + gap + 1, top + gap + size + 1)
+        counts += [count] * size
+        top += gap + size
+    return RankCounts(ranks, counts)
+
+
+class TestLogOffsetSumsOnRuns:
+    """S(b) adds each run of 64 or more ranks in closed form and every other
+    rank one by one; both must agree with the per-rank sum."""
+
+    def test_runs(self):
+        counts = RankCounts([1, 2, 3, 5, 6, 7, 8], [9, 4, 4, 4, 4, 1, 1])
+        runs = counts.runs
+        assert [x.tolist() for x in runs] == [[1, 2, 5, 7], [1, 3, 6, 8], [9, 4, 4, 1]]
+        assert counts.runs is runs  # made once
+        assert [x.tolist() for x in RankCounts([4], [2]).runs] == [[4], [4], [2]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables_with_long_runs(), st.lists(st.floats(-6, 6), min_size=1, max_size=5))
+    def test_equals_the_per_rank_fsum(self, observed, log_bs):
+        lo, hi, _ = observed.runs
+        assert (hi - lo + 1).max() >= maxent._LONG_RUN
+        for b in [10.0**x for x in log_bs]:
+            terms = per_rank_terms(observed, b)
+            scale = math.fsum(map(abs, terms))  # S(b) itself may cancel to near 0
+            got = maxent._log_offset_sums(observed)(b)
+            assert abs(got - math.fsum(terms)) <= 1e-12 * scale, b
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.integers(1, 3000), st.integers(1, 3), min_size=1, max_size=300),
+           st.floats(-6, 6))
+    def test_without_long_runs_it_is_the_per_rank_einsum(self, observed, log_b):
+        # a table whose runs are all short is summed rank by rank, bit for bit
+        counts = maxent._as_rank_counts(observed)
+        lo, hi, _ = counts.runs
+        assert (hi - lo + 1).max() < maxent._LONG_RUN
+        b = 10.0**log_b
+        rf, cf = counts.ranks.astype(float), counts.counts.astype(float)
+        want = float(np.einsum("i,i", np.log(rf - 1.0 + b), cf))
+        assert maxent._log_offset_sums(counts)(b).hex() == want.hex()
+
+    @pytest.mark.parametrize("b", [1e-6, 0.5, 1.0, 41.0, 3e3, 1e6])
+    def test_against_mpmath(self, b):
+        observed = random_typing_counts(20_000, 5)
+        lo, hi, _ = observed.runs
+        assert (hi - lo + 1).max() >= 1000
+        with mpmath.workdps(40):
+            exact = mpmath.fsum(c * mpmath.log(r - 1 + mpmath.mpf(b))
+                                for r, c in zip(observed.ranks.tolist(), observed.counts.tolist()))
+        got = maxent._log_offset_sums(observed)(b)
+        assert got == pytest.approx(float(exact), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("x", [1e-6, 0.3, 1.0, 63.9, 64.0, 100.5, 1e4, 7e5, 1e6 + 5, 1e9])
+    @pytest.mark.parametrize("m", [64, 65, 1000, 10**6])
+    def test_log_rising_against_mpmath(self, x, m):
+        with mpmath.workdps(40):
+            exact = mpmath.loggamma(mpmath.mpf(x) + m) - mpmath.loggamma(mpmath.mpf(x))
+        assert maxent._log_rising(x, m) == pytest.approx(float(exact), rel=4e-15, abs=0)
+
+    def test_rank_laws_shaped_table_fits_to_the_same_bytes(self):
+        # the analytic workload's `fit` table: every run is under 64 ranks, so
+        # every fit equals, bit for bit, the one recorded before runs
+        rng = np.random.default_rng(1)
+        w = (np.arange(1, 20_001) + 2.5) ** -1.3
+        counts = np.bincount(rng.choice(20_000, 200_000, p=w / w.sum()), minlength=20_000)
+        ranks = np.flatnonzero(counts) + 1
+        observed = RankCounts(ranks, counts[ranks - 1])
+        lo, hi, _ = observed.runs
+        assert (hi - lo + 1).max() < maxent._LONG_RUN
+        support = (1, 19993)
+        assert list(fit_ranked(observed, maxent.FAMILIES)) == [
+            maxent.FitResult("zipf-mandelbrot",
+                             {"alpha": 1.4332038405787042, "b": 5.35840325486246},
+                             -1145843.136192483, 200_000, support),
+            maxent.FitResult("zeta", {"alpha": 1.2495929369257897}, -1173276.170208927, 200_000,
+                             support),
+            maxent.FitResult("geometric", {"q": 0.0015359671986217706}, -1495565.324489573,
+                             200_000, support),
+        ]
 
 
 class TestMaxentFamilyBridges:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Mapping
 
@@ -305,19 +305,9 @@ class ZetaParams:
         return _power_family_ranks(self.alpha, 1.0, u)
 
     @classmethod
-    def _fit(cls, observed: RankCounts, n: int) -> tuple[dict, float]:
-        """MLE (params, log-likelihood) of rank counts summing to n: a bounded
-        scalar search on alpha.  sum c log r is the Zipf-Mandelbrot S(1)."""
-        from scipy import optimize  # imported here: it is most of `import optcoding`
-
-        s = _log_offset_sums(observed)(1.0)
-
-        def nll(a: float) -> float:
-            return a * s + n * math.log(riemann_zeta(a))
-
-        res = optimize.minimize_scalar(nll, bounds=(1.0 + 1e-9, 64.0), method="bounded",
-                                       options={"xatol": 1e-10})
-        return {"alpha": float(res.x)}, -float(res.fun)
+    def _fit(cls, observed: RankCounts) -> tuple[dict, float]:
+        """MLE (params, log-likelihood) of rank counts: `_zeta_search`."""
+        return _zeta_search(_power_nll(observed))
 
 
 @dataclass(frozen=True)
@@ -338,28 +328,42 @@ class ZipfMandelbrotParams:
         """hurwitz_zeta(alpha, b), computed on first use and then reused."""
         return hurwitz_zeta(self.alpha, self.b)
 
+    @cached_property
+    def _log_normalizer(self) -> float:
+        """log hurwitz_zeta(alpha, b), for a normalizer that is not a normal float."""
+        return _log_hurwitz_zeta(self.alpha, self.b)
+
     def _ranks(self, u: np.ndarray) -> np.ndarray:
         return _power_family_ranks(self.alpha, self.b, u)
 
     @classmethod
-    def _fit(cls, observed: RankCounts, n: int) -> tuple[dict, float]:
-        """MLE (params, log-likelihood) of rank counts summing to n: L-BFGS-B
-        on (alpha, b), started from the zeta fit's alpha at b = 1.
-
-        The objective's sum S(b) = sum c log(r - 1 + b) is kept for the last
-        b, so the finite-difference probe (alpha + h, b) that follows
-        (alpha, b) costs one `_log_hurwitz_zeta` call and no new sum."""
+    def _fit(cls, observed: RankCounts) -> tuple[dict, float]:
+        """MLE (params, log-likelihood) of rank counts: L-BFGS-B on (alpha, b),
+        started from the zeta search's alpha at b = 1 on the same objective."""
         from scipy import optimize  # imported here: it is most of `import optcoding`
 
-        log_offset_sum = _log_offset_sums(observed)
-
-        def nll(theta) -> float:
-            a, b = theta
-            return a * log_offset_sum(b) + n * _log_hurwitz_zeta(a, b)
-
-        res = optimize.minimize(nll, x0=[ZetaParams._fit(observed, n)[0]["alpha"], 1.0],
+        nll = _power_nll(observed)
+        res = optimize.minimize(lambda theta: nll(*theta), x0=[_zeta_search(nll)[0]["alpha"], 1.0],
                                 method="L-BFGS-B", bounds=[(1.0 + 1e-6, 64.0), (1e-6, 1e6)])
         return {"alpha": float(res.x[0]), "b": float(res.x[1])}, -float(res.fun)
+
+
+def _power_nll(observed: RankCounts) -> Callable[[float, float], float]:
+    """(alpha, b) -> alpha S(b) + n log hurwitz_zeta(alpha, b), the negative
+    log-likelihood of the Zipf-Mandelbrot law and at b = 1 of the zeta law.
+    S(b) from `_log_offset_sums` is kept for the last b: the finite-difference
+    probe (alpha + h, b) after (alpha, b) costs one `_log_hurwitz_zeta` call."""
+    log_offset_sum, n = _log_offset_sums(observed), observed.total
+    return lambda alpha, b: alpha * log_offset_sum(b) + n * _log_hurwitz_zeta(alpha, b)
+
+
+def _zeta_search(nll: Callable[[float, float], float]) -> tuple[dict, float]:
+    """The zeta law's (params, log-likelihood): a bounded search of nll(alpha, 1.0)."""
+    from scipy import optimize  # imported here: it is most of `import optcoding`
+
+    res = optimize.minimize_scalar(lambda a: nll(a, 1.0), bounds=(1.0 + 1e-9, 64.0),
+                                   method="bounded", options={"xatol": 1e-10})
+    return {"alpha": float(res.x)}, -float(res.fun)
 
 
 # A run of at least this many ranks is summed in closed form: two lgamma
@@ -443,14 +447,14 @@ class GeometricParams:
         return np.maximum(k, 1.0).astype(np.int64)
 
     @classmethod
-    def _fit(cls, observed: RankCounts, n: int) -> tuple[dict, float]:
-        """MLE (params, log-likelihood) of rank counts summing to n: the
-        closed form q = 1/mean."""
-        total = float(np.einsum("i,i", observed.ranks.astype(float), observed.counts.astype(float)))
-        q = 1.0 / (total / n)
+    def _fit(cls, observed: RankCounts) -> tuple[dict, float]:
+        """MLE (params, log-likelihood) of rank counts: the closed form q = 1/mean."""
+        n = observed.total
+        rank_sum = float(np.einsum("i,i", observed.ranks.astype(float), observed.counts.astype(float)))
+        q = 1.0 / (rank_sum / n)
         if not 0 < q < 1:
             raise ValueError("geometric MLE is degenerate for this data")
-        return {"q": q}, n * math.log(q) + (total - n) * math.log1p(-q)
+        return {"q": q}, n * math.log(q) + (rank_sum - n) * math.log1p(-q)
 
 
 # The rank-distribution families `fit_mle` knows, in their default order; the
@@ -461,8 +465,11 @@ FAMILIES = tuple(_FAMILIES)
 
 
 def zeta_pmf(params: ZetaParams, i: int) -> float:
+    """i^(-alpha) / zeta(alpha); a rank past the float range gives 0.0."""
     if i < 1:
         raise ValueError("rank must be >= 1")
+    if i > sys.float_info.max:  # i^(-alpha) < 1 / i is below the float range
+        return 0.0
     return i ** -params.alpha / params.normalizer
 
 
@@ -474,10 +481,20 @@ def zipf_mandelbrot_pmf(params: ZipfMandelbrotParams, i: int) -> float:
     frequency rank r corresponds to index i = r - 1.  With b = 1 the law
     is exactly the zeta distribution under that rank shift:
     pmf(i) = (i + 1)^(-alpha) / hurwitz_zeta(alpha, 1) = zeta_pmf(i + 1).
+
+    Where the normalizer is not a normal float (inf, or below the smallest
+    normal float, as at corners of the fit's search box) the pmf is
+    exp(-alpha log(i + b) - `_log_hurwitz_zeta`(alpha, b)).  An index past
+    the float range gives 0.0.
     """
     if i < 0:
         raise ValueError("support index must be >= 0")
-    return (i + params.b) ** -params.alpha / params.normalizer
+    if i > sys.float_info.max:  # the pmf is below the float range
+        return 0.0
+    z = params.normalizer
+    if sys.float_info.min <= z < math.inf:
+        return (i + params.b) ** -params.alpha / z
+    return math.exp(-params.alpha * math.log(i + params.b) - params._log_normalizer)
 
 
 def geometric_pmf(params: GeometricParams, i: int) -> float:
@@ -540,10 +557,16 @@ def _power_family_ranks(alpha: float, b: float, u: np.ndarray) -> np.ndarray:
     Each such draw starts from the closed-form inverse of the tail's
     integral plus half-term, (x - 1/2)^(1-alpha) / (alpha - 1), and is
     settled exactly on the scalar predicate, so the same u always gives the
-    same rank.  Ranks of 2^63 or more make the result an object array.
+    same rank.  Ranks of 2^63 or more make the result an object array.  A
+    normalizer that is not a normal float raises ValueError naming alpha and b.
     """
     alpha = float(alpha)
     z = hurwitz_zeta(alpha, b)
+    if not sys.float_info.min <= z < math.inf:
+        raise ValueError(
+            f"the normalizer hurwitz_zeta(alpha, b) = {z!r} is not a normal float, "
+            f"so the law cannot be sampled, at alpha={alpha!r} (b={b!r})"
+        )
     head = (np.arange(_SAMPLE_HEAD) + b) ** -alpha
     cdf = np.cumsum(head) / z
     ranks = (np.searchsorted(cdf, u, side="left") + 1).astype(np.int64)
@@ -628,7 +651,8 @@ def sample(family, seed, n: int, *, truncation: int | None = None) -> np.ndarray
     and is settled on the tail formula, so the same u always gives the same
     rank.  Ranks of 2^63 or more come back in an object array, and a draw
     whose rank would exceed 2**1023 (the float range of the offset r + b)
-    raises ValueError naming alpha; a geometric rank of 2**63 or more, past
+    raises ValueError naming alpha, as does a Zipf-Mandelbrot law whose
+    normalizer is not a normal float; a geometric rank of 2**63 or more, past
     int64, raises ValueError naming q.
     """
     if n < 1:
@@ -665,13 +689,14 @@ class FitResult:
 @dataclass(frozen=True, eq=False)
 class RankCounts:
     """Observed rank counts as aligned int64 arrays: `ranks` strictly increasing
-    and >= 1, `counts` >= 1 and summing within int64.  Every fit works on this
-    form; `fit_mle` and `fit_ranked` take it with no conversion or sort.  Its
-    `runs` of tied counts, made on first use and kept, let the zeta and
+    and >= 1, `counts` >= 1 and summing within int64 to `total`, an exact int.
+    Every fit works on this form; `fit_mle` and `fit_ranked` take it as is.
+    Its `runs` of tied counts, made on first use and kept, let the zeta and
     Zipf-Mandelbrot sums cost O(runs) per parameter, not O(ranks)."""
 
     ranks: np.ndarray
     counts: np.ndarray
+    total: int = field(init=False)
 
     def __post_init__(self):
         ranks = _frozen_vector(self.ranks, "ranks", np.int64)
@@ -684,7 +709,8 @@ class RankCounts:
             raise ValueError("counts must be >= 1")
         if np.any(ranks[:-1] >= ranks[1:]):
             raise ValueError("ranks must be strictly increasing")
-        if sum(counts.tolist()) > np.iinfo(np.int64).max:
+        object.__setattr__(self, "total", sum(counts.tolist()))
+        if self.total > np.iinfo(np.int64).max:
             raise ValueError("the total count must fit in int64")
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "counts", counts)
@@ -718,14 +744,13 @@ def fit_mle(observed, family: str) -> FitResult:
     observed ranks.
     """
     observed = _as_rank_counts(observed)
-    ranks, counts = observed.ranks, observed.counts
+    ranks = observed.ranks
     if ranks.size < 2:
         raise ValueError("need at least 2 distinct observed ranks")
     if family not in FAMILIES:  # the tuple: an unhashable name is unknown, not a TypeError
         raise ValueError(f"unknown family {family!r}")
-    n = int(counts.sum())
-    params, ll = _FAMILIES[family]._fit(observed, n)
-    return FitResult(family, params, ll, n, (int(ranks[0]), int(ranks[-1])))
+    params, ll = _FAMILIES[family]._fit(observed)
+    return FitResult(family, params, ll, observed.total, (int(ranks[0]), int(ranks[-1])))
 
 
 def fit_ranked(observed, families) -> tuple[FitResult, ...]:

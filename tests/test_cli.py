@@ -472,6 +472,42 @@ class TestFit:
         lls = [r["log_likelihood"] for r in payload["results"]]
         assert lls == sorted(lls, reverse=True)
 
+    @staticmethod
+    def assert_each_family_prints_its_entry_of_all(path: Path, out_dir: Path):
+        """`fit --family F` gives the F entry of `fit --family all`."""
+        keys = ("n", "support", "params", "log_likelihood")
+
+        def fit(family):
+            out = out_dir / f"{family}.json"
+            assert cli.main(["fit", "--input", str(path), "--family", family,
+                             "--output", str(out)]) == 0
+            return json.loads(out.read_text())
+
+        entries = {r["family"]: {k: r[k] for k in keys} for r in fit("all")["results"]}
+        for family in maxent.FAMILIES:
+            single = fit(family)
+            assert single["family"] == family
+            assert {k: single[k] for k in keys} == entries[family], family
+
+    @pytest.mark.parametrize("text", [
+        "1\t70\n2\t20\n3\t10\n",
+        "rank,count\n1,70\n2,20\n3,10\n",
+        "# counts\r\n1\t70\r\n\r\n2\t20\r\n3\t10",
+        "1 70\n2 20\n3 10\n",
+    ], ids=["tab", "csv", "crlf", "space"])
+    def test_each_family_prints_its_entry_of_all(self, tmp_path, text):
+        path = tmp_path / "counts.tsv"
+        path.write_bytes(text.encode())
+        self.assert_each_family_prints_its_entry_of_all(path, tmp_path)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.dictionaries(st.integers(1, 3000), st.integers(1, 10**5), min_size=2, max_size=30))
+    def test_each_family_prints_its_entry_of_all_on_drawn_tables(self, tmp_path_factory, observed):
+        out_dir = tmp_path_factory.mktemp("fit")
+        path = out_dir / "counts.tsv"
+        path.write_text("".join(f"{r}\t{c}\n" for r, c in observed.items()))
+        self.assert_each_family_prints_its_entry_of_all(path, out_dir)
+
     def test_header_after_comment(self, tmp_path):
         data = tmp_path / "counts.tsv"
         data.write_text("# comment\n\nrank\tcount\n1\t70\n2\t20\n3\t10\n")

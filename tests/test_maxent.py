@@ -174,6 +174,54 @@ class TestHurwitzZetaRange:
             ), b
 
 
+class TestPowerLawsAtTheBoxCorners:
+    # At these corners of the Zipf-Mandelbrot fit's search box the normalizer
+    # hurwitz_zeta(alpha, b) is inf (b = 1e-6) or 0.0 (b = 1e6); the pmf once
+    # raised OverflowError or ZeroDivisionError there, and `sample` warned and
+    # drew rank 1 every time at (64, 1e6), whose median rank is about 11,000.
+    CORNERS = [(64.0, 1e-6), (64.0, 1e6)]
+
+    @pytest.mark.parametrize("alpha,b", CORNERS)
+    def test_pmf_against_mpmath(self, alpha, b):
+        params = ZipfMandelbrotParams(alpha, b)
+        for i in (0, 1, 10, 1000, 10**5, 10**7, 2**1024, 10**400):
+            with mpmath.workdps(300):
+                exact = (i + mpmath.mpf(b)) ** -alpha / mpmath.zeta(alpha, b)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = zipf_mandelbrot_pmf(params, i)
+            if exact >= sys.float_info.min:
+                assert got == pytest.approx(float(exact), rel=1e-10), i
+            else:
+                assert got == 0.0, i
+
+    @pytest.mark.parametrize("alpha,b,truncation", [(64.0, 1e-6, 10), (64.0, 1e6, 300_000)])
+    def test_entropy_against_mpmath(self, alpha, b, truncation):
+        # H = -alpha zeta'(alpha, b) / zeta(alpha, b) + log zeta(alpha, b); the
+        # mass past the truncation is below 1e-7
+        params = ZipfMandelbrotParams(alpha, b)
+        with mpmath.workdps(300):
+            z = mpmath.zeta(alpha, b)
+            exact = float(-alpha * mpmath.zeta(alpha, b, 1) / z + mpmath.log(z))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = entropy(lambda i: zipf_mandelbrot_pmf(params, i - 1), truncation)
+        assert h.value == pytest.approx(exact, rel=1e-6, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha,b", CORNERS + [(64.0, 1e5)])  # (64, 1e5): subnormal
+    def test_sample_names_alpha_and_b(self, alpha, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"at alpha={alpha!r} \(b={b!r}\)$"):
+                sample(ZipfMandelbrotParams(alpha, b), 1, 1000)
+
+    def test_zeta_rank_past_the_float_range(self):
+        params = ZetaParams(2.0)
+        assert zeta_pmf(params, 10**400) == 0.0
+        assert zeta_pmf(params, 2**1024) == 0.0
+        assert zeta_pmf(params, 2**1000) == 2.0**-2000 / riemann_zeta(2.0)
+
+
 class TestNormalizersComputedOnce:
     def test_pmfs_bit_identical_to_the_per_call_formula(self):
         for alpha in (1.05, 2.5):
@@ -948,6 +996,7 @@ class TestFitting:
         top = np.iinfo(np.int64).max
         counts = RankCounts([1, 2], [top - 1, 1])
         assert int(counts.counts.sum()) == top
+        assert type(counts.total) is int and counts.total == top  # the exact sum, kept
 
     def test_accepts_rank_count_mapping(self):
         fit = fit_mle({1: 70, 2: 20, 3: 10}, "geometric")
@@ -1022,6 +1071,50 @@ def fit_with_fresh_sums(observed) -> maxent.FitResult:
     params = {"alpha": float(res.x[0]), "b": float(res.x[1])}
     support = (int(counts.ranks[0]), int(counts.ranks[-1]))
     return maxent.FitResult("zipf-mandelbrot", params, -float(res.fun), n, support)
+
+
+def zeta_fit_by_the_riemann_formula(observed) -> maxent.FitResult:
+    """The zeta fit as it was written before it shared the Zipf-Mandelbrot
+    objective: a bounded search on a * S(1) + n * log(riemann_zeta(a))."""
+    from scipy import optimize
+
+    counts = maxent._as_rank_counts(observed)
+    n = int(counts.counts.sum())
+    s = maxent._log_offset_sums(counts)(1.0)
+    res = optimize.minimize_scalar(lambda a: a * s + n * math.log(riemann_zeta(a)),
+                                   bounds=(1.0 + 1e-9, 64.0), method="bounded",
+                                   options={"xatol": 1e-10})
+    support = (int(counts.ranks[0]), int(counts.ranks[-1]))
+    return maxent.FitResult("zeta", {"alpha": float(res.x)}, -float(res.fun), n, support)
+
+
+class TestOnePowerLawObjective:
+    """The zeta fit is the Zipf-Mandelbrot objective's search at b = 1."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.dictionaries(st.integers(1, 5000), st.integers(1, 10**6), min_size=2, max_size=40))
+    def test_zeta_fit_equals_the_riemann_formula(self, observed):
+        assert fit_mle(observed, "zeta") == zeta_fit_by_the_riemann_formula(observed)
+
+    def test_fit_ranked_builds_two_sums_and_no_riemann_zeta(self, monkeypatch):
+        # one S(b) per power-law family: the Zipf-Mandelbrot fit's zeta start
+        # searches its own objective
+        observed = random_typing_counts(5_000, 2)
+        want = fit_ranked(observed, maxent.FAMILIES)
+        builds = []
+        real = maxent._log_offset_sums
+
+        def counted(counts):
+            builds.append(counts)
+            return real(counts)
+
+        def refused(alpha):
+            raise AssertionError("a fit called riemann_zeta")
+
+        monkeypatch.setattr(maxent, "_log_offset_sums", counted)
+        monkeypatch.setattr(maxent, "riemann_zeta", refused)
+        assert fit_ranked(observed, maxent.FAMILIES) == want
+        assert builds == [observed, observed]
 
 
 def random_typing_counts(n_words: int, seed: int) -> RankCounts:
